@@ -5,20 +5,36 @@
 //! "virtual address" in the owning host's simulated address space, an [`RKey`]
 //! guarding remote access, and permission bits.
 //!
+//! ## Word layout
+//!
+//! The backing store is a slice of `AtomicU64` words, so the region can be shared
+//! freely between the threads that play the roles of the two hosts and the NIC, and
+//! bulk data moves a word at a time. Byte `i` lives in word `i / 8` at byte lane
+//! `i % 8`, little-endian: lane `k` is bits `8k..8k + 8`, so a little-endian `u64`
+//! at an 8-aligned offset *is* its word (which is what makes
+//! [`MemoryRegion::fetch_add_u64`] a true atomic RMW).
+//!
+//! A range that starts or ends inside a word touches that *edge word* partially. An
+//! edge is merged with a compare-and-swap that replaces only the range's lanes, so
+//! bytes outside the range are never clobbered, even when another thread writes the
+//! neighbouring bytes of the same word at the same time. Whole words in between are
+//! moved with one relaxed load or store each.
+//!
 //! ## Ordering protocol
 //!
-//! The backing store is a slice of `AtomicU8`, so the region can be shared freely
-//! between the threads that play the roles of the two hosts and the NIC. Bulk data
-//! is moved with `Relaxed` byte stores/loads; *signal* bytes (the `MAG` / `SIG MAG`
-//! magic bytes of the Two-Chains frame, §III-A of the paper) are written with
-//! `Release` and read with `Acquire`. A reader that observes the signal byte with an
-//! acquire load is therefore guaranteed to observe every payload byte written before
-//! the matching release store — exactly the ordering guarantee the paper relies on
-//! from RDMA writes on its testbed ("Modern servers like the one we use as a testbed
-//! for this study enforce ordering"), and the same publish/consume discipline the
-//! Two-Chains mailbox uses.
+//! Bulk data is moved with `Relaxed` word stores/loads; *signal* bytes (the `MAG` /
+//! `SIG MAG` magic bytes of the Two-Chains frame, §III-A of the paper) are written
+//! with a `Release` read-modify-write on their word and read with an `Acquire` load
+//! of that word. A reader that observes the signal byte with an acquire load is
+//! therefore guaranteed to observe every payload byte written before the matching
+//! release store — exactly the ordering guarantee the paper relies on from RDMA
+//! writes on its testbed ("Modern servers like the one we use as a testbed for this
+//! study enforce ordering"), and the same publish/consume discipline the Two-Chains
+//! mailbox uses. Edge merges are read-modify-writes too, so a later write to a
+//! neighbouring byte of the signal's word continues the release sequence instead of
+//! breaking it; only a write covering the signal byte itself replaces the word.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::error::{FabricError, FabricResult};
@@ -41,14 +57,29 @@ pub struct RegionDescriptor {
     pub flags: AccessFlags,
 }
 
+/// Bytes per backing word.
+const WORD: usize = 8;
+
 /// A registered, remotely accessible memory region.
 #[derive(Debug)]
 pub struct MemoryRegion {
-    bytes: Box<[AtomicU8]>,
+    words: Box<[AtomicU64]>,
+    len: usize,
     base_addr: u64,
     host: usize,
     rkey: RKey,
     flags: AccessFlags,
+}
+
+/// The bits of byte lanes `lane..lane + bytes.len()` of a word holding `bytes`,
+/// and the mask selecting those lanes.
+#[inline]
+fn lanes(lane: usize, bytes: &[u8]) -> (u64, u64) {
+    let mut value = [0u8; WORD];
+    let mut mask = [0u8; WORD];
+    value[lane..lane + bytes.len()].copy_from_slice(bytes);
+    mask[lane..lane + bytes.len()].fill(0xff);
+    (u64::from_le_bytes(value), u64::from_le_bytes(mask))
 }
 
 impl MemoryRegion {
@@ -67,10 +98,11 @@ impl MemoryRegion {
                 "cannot register a zero-length region",
             ));
         }
-        let bytes: Box<[AtomicU8]> = (0..len).map(|_| AtomicU8::new(0)).collect();
+        let words = (0..len.div_ceil(WORD)).map(|_| AtomicU64::new(0)).collect();
         let rkey = RKey::generate(base_addr, len, flags, nonce);
         Ok(Arc::new(MemoryRegion {
-            bytes,
+            words,
+            len,
             base_addr,
             host,
             rkey,
@@ -83,7 +115,7 @@ impl MemoryRegion {
         RegionDescriptor {
             host: self.host,
             base_addr: self.base_addr,
-            len: self.bytes.len(),
+            len: self.len,
             rkey: self.rkey,
             flags: self.flags,
         }
@@ -101,12 +133,12 @@ impl MemoryRegion {
 
     /// Region length in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.len
     }
 
     /// True if the region is empty (never true for successfully registered regions).
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
     }
 
     /// The remote key guarding this region.
@@ -127,7 +159,7 @@ impl MemoryRegion {
     fn check_bounds(&self, offset: usize, len: usize) -> FabricResult<()> {
         if offset
             .checked_add(len)
-            .map(|end| end <= self.bytes.len())
+            .map(|end| end <= self.len)
             .unwrap_or(false)
         {
             Ok(())
@@ -135,33 +167,87 @@ impl MemoryRegion {
             Err(FabricError::OutOfBounds {
                 offset,
                 len,
-                region_len: self.bytes.len(),
+                region_len: self.len,
             })
         }
+    }
+
+    /// Split `[offset, offset + len)` into the byte count of its partial head
+    /// word and the number of whole words after it; the rest is a partial tail.
+    #[inline]
+    fn split(offset: usize, len: usize) -> (usize, usize) {
+        let head = match offset % WORD {
+            0 => 0,
+            lane => (WORD - lane).min(len),
+        };
+        (head, (len - head) / WORD)
+    }
+
+    /// Replace byte lanes `lane..lane + bytes.len()` of word `word` in one
+    /// compare-and-swap, leaving the word's other lanes as they are. The update
+    /// never declines, so `fetch_update` always succeeds.
+    #[inline]
+    fn merge(&self, word: usize, lane: usize, bytes: &[u8], order: Ordering) {
+        let (value, mask) = lanes(lane, bytes);
+        let _ = self.words[word]
+            .fetch_update(order, Ordering::Relaxed, |cur| Some((cur & !mask) | value));
     }
 
     /// Write `data` at `offset` with relaxed ordering (bulk payload movement).
     pub fn write(&self, offset: usize, data: &[u8]) -> FabricResult<()> {
         self.check_bounds(offset, data.len())?;
-        for (i, b) in data.iter().enumerate() {
-            self.bytes[offset + i].store(*b, Ordering::Relaxed);
+        let (head, body) = Self::split(offset, data.len());
+        let (head_bytes, rest) = data.split_at(head);
+        let (body_bytes, tail_bytes) = rest.split_at(body * WORD);
+        let mut word = offset / WORD;
+        if head > 0 {
+            self.merge(word, offset % WORD, head_bytes, Ordering::Relaxed);
+            word += 1;
+        }
+        for (w, chunk) in self.words[word..word + body]
+            .iter()
+            .zip(body_bytes.chunks_exact(WORD))
+        {
+            let bytes: [u8; WORD] = chunk.try_into().expect("chunks_exact yields whole words");
+            w.store(u64::from_le_bytes(bytes), Ordering::Relaxed);
+        }
+        if !tail_bytes.is_empty() {
+            self.merge(word + body, 0, tail_bytes, Ordering::Relaxed);
         }
         Ok(())
     }
 
     /// Read `len` bytes at `offset` with relaxed ordering.
     pub fn read(&self, offset: usize, len: usize) -> FabricResult<Vec<u8>> {
-        self.check_bounds(offset, len)?;
-        Ok((0..len)
-            .map(|i| self.bytes[offset + i].load(Ordering::Relaxed))
-            .collect())
+        let mut out = vec![0; len];
+        self.read_into(offset, &mut out)?;
+        Ok(out)
     }
 
     /// Read into a caller-provided buffer (avoids the allocation of [`MemoryRegion::read`]).
     pub fn read_into(&self, offset: usize, out: &mut [u8]) -> FabricResult<()> {
         self.check_bounds(offset, out.len())?;
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = self.bytes[offset + i].load(Ordering::Relaxed);
+        let (head, body) = Self::split(offset, out.len());
+        let (head_out, rest) = out.split_at_mut(head);
+        let (body_out, tail_out) = rest.split_at_mut(body * WORD);
+        let mut word = offset / WORD;
+        if head > 0 {
+            let lane = offset % WORD;
+            let bytes = self.words[word].load(Ordering::Relaxed).to_le_bytes();
+            head_out.copy_from_slice(&bytes[lane..lane + head]);
+            word += 1;
+        }
+        for (w, chunk) in self.words[word..word + body]
+            .iter()
+            .zip(body_out.chunks_exact_mut(WORD))
+        {
+            chunk.copy_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
+        }
+        if !tail_out.is_empty() {
+            let bytes = self.words[word + body]
+                .load(Ordering::Relaxed)
+                .to_le_bytes();
+            tail_out.copy_from_slice(&bytes[..tail_out.len()]);
         }
         Ok(())
     }
@@ -169,24 +255,31 @@ impl MemoryRegion {
     /// Fill `len` bytes at `offset` with `value`.
     pub fn fill(&self, offset: usize, len: usize, value: u8) -> FabricResult<()> {
         self.check_bounds(offset, len)?;
-        for i in 0..len {
-            self.bytes[offset + i].store(value, Ordering::Relaxed);
+        let pattern = [value; 64];
+        let end = offset + len;
+        let mut pos = offset;
+        while pos < end {
+            let n = (end - pos).min(pattern.len());
+            self.write(pos, &pattern[..n])?;
+            pos += n;
         }
         Ok(())
     }
 
-    /// Publish a signal byte: a `Release` store that makes all previous relaxed
-    /// writes visible to any reader that observes this byte with [`MemoryRegion::load_acquire_u8`].
+    /// Publish a signal byte: a `Release` read-modify-write of its word that makes
+    /// all previous relaxed writes visible to any reader that observes this byte
+    /// with [`MemoryRegion::load_acquire_u8`].
     pub fn store_release_u8(&self, offset: usize, value: u8) -> FabricResult<()> {
         self.check_bounds(offset, 1)?;
-        self.bytes[offset].store(value, Ordering::Release);
+        self.merge(offset / WORD, offset % WORD, &[value], Ordering::Release);
         Ok(())
     }
 
-    /// Consume a signal byte with `Acquire` ordering.
+    /// Consume a signal byte with an `Acquire` load of its word.
     pub fn load_acquire_u8(&self, offset: usize) -> FabricResult<u8> {
         self.check_bounds(offset, 1)?;
-        Ok(self.bytes[offset].load(Ordering::Acquire))
+        let word = self.words[offset / WORD].load(Ordering::Acquire);
+        Ok(word.to_le_bytes()[offset % WORD])
     }
 
     /// Convenience: store a little-endian u64 with relaxed ordering.
@@ -213,22 +306,15 @@ impl MemoryRegion {
         Ok(u32::from_le_bytes(buf))
     }
 
-    /// Fetch-and-add on an 8-byte-aligned u64, as an RDMA atomic would perform it.
-    /// Returns the previous value.
+    /// Fetch-and-add on an 8-byte-aligned u64, as an RDMA atomic would perform it:
+    /// one atomic read-modify-write of the word (`AcqRel`). Returns the previous
+    /// value.
     pub fn fetch_add_u64(&self, offset: usize, operand: u64) -> FabricResult<u64> {
-        if !offset.is_multiple_of(8) {
+        if !offset.is_multiple_of(WORD) {
             return Err(FabricError::Misaligned { offset });
         }
-        self.check_bounds(offset, 8)?;
-        // Byte-wise atomics cannot express a true 8-byte RMW; the simulated HCA
-        // serializes atomics per-region, which we emulate with a spin on byte 0 as a
-        // lock would be overkill for a simulator — instead we accept that concurrent
-        // atomics to the same address from multiple simulated initiators are rare in
-        // the benchmarks and perform a read-modify-write under a release publish.
-        let old = self.load_u64(offset)?;
-        self.store_u64(offset, old.wrapping_add(operand))?;
-        self.bytes[offset].store((old.wrapping_add(operand) & 0xff) as u8, Ordering::Release);
-        Ok(old)
+        self.check_bounds(offset, WORD)?;
+        Ok(self.words[offset / WORD].fetch_add(operand, Ordering::AcqRel))
     }
 }
 
@@ -281,10 +367,17 @@ mod tests {
 
     #[test]
     fn signal_bytes_roundtrip() {
-        let r = region(64);
-        assert_eq!(r.load_acquire_u8(63).unwrap(), 0);
-        r.store_release_u8(63, 0xAB).unwrap();
-        assert_eq!(r.load_acquire_u8(63).unwrap(), 0xAB);
+        // Every byte lane of a word, leaving the neighbouring lanes as they were.
+        let r = region(16);
+        r.write(0, &[0x11; 16]).unwrap();
+        let mut model = [0x11u8; 16];
+        for lane in 0..model.len() {
+            assert_eq!(r.load_acquire_u8(lane).unwrap(), 0x11);
+            r.store_release_u8(lane, lane as u8 + 0x80).unwrap();
+            model[lane] = lane as u8 + 0x80;
+            assert_eq!(r.load_acquire_u8(lane).unwrap(), lane as u8 + 0x80);
+            assert_eq!(r.read(0, 16).unwrap(), model, "lane {lane}");
+        }
     }
 
     #[test]
@@ -325,17 +418,111 @@ mod tests {
     fn publish_consume_across_threads() {
         // Writer publishes a payload then the signal byte with release; reader spins
         // on acquire until it sees the signal and must then observe the payload.
-        let r = region(4096);
-        let writer = Arc::clone(&r);
-        let t = std::thread::spawn(move || {
-            writer.write(0, &[7u8; 4000]).unwrap();
-            writer.store_release_u8(4095, 1).unwrap();
-        });
-        while r.load_acquire_u8(4095).unwrap() == 0 {
-            std::hint::spin_loop();
+        // The signal byte may sit on any lane of its word.
+        for lane in 0..8 {
+            let r = region(4096);
+            let signal = 4088 + lane;
+            let writer = Arc::clone(&r);
+            let t = std::thread::spawn(move || {
+                writer.write(1, &[7u8; 4000]).unwrap();
+                writer.store_release_u8(signal, 1).unwrap();
+            });
+            while r.load_acquire_u8(signal).unwrap() == 0 {
+                std::hint::spin_loop();
+            }
+            let data = r.read(1, 4000).unwrap();
+            assert!(data.iter().all(|&b| b == 7), "signal lane {lane}");
+            t.join().unwrap();
         }
-        let data = r.read(0, 4000).unwrap();
-        assert!(data.iter().all(|&b| b == 7));
-        t.join().unwrap();
+    }
+
+    #[test]
+    fn fetch_add_is_atomic_across_threads() {
+        let r = region(64);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..10_000 {
+                        r.fetch_add_u64(8, 3).unwrap();
+                    }
+                });
+            }
+        });
+        assert_eq!(r.load_u64(8).unwrap(), 4 * 10_000 * 3);
+        assert_eq!(r.load_u64(0).unwrap(), 0, "neighbouring word untouched");
+    }
+
+    #[test]
+    fn write_read_match_a_byte_model_at_every_alignment() {
+        // Every start offset across two words and every length up to five words:
+        // head-only, tail-only, whole-word and mixed splits all agree with a plain
+        // byte array, and the bytes around the range keep their old values.
+        const LEN: usize = 64;
+        for offset in 0..16 {
+            for len in 0..=40 {
+                let r = region(LEN);
+                let background: Vec<u8> = (0..LEN as u8).map(|i| i ^ 0xA5).collect();
+                r.write(0, &background).unwrap();
+                let data: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(7) + 1).collect();
+                let mut model = background.clone();
+                model[offset..offset + len].copy_from_slice(&data);
+                r.write(offset, &data).unwrap();
+                assert_eq!(r.read(0, LEN).unwrap(), model, "offset={offset} len={len}");
+                assert_eq!(
+                    r.read(offset, len).unwrap(),
+                    data,
+                    "offset={offset} len={len}"
+                );
+                let mut out = vec![0xEE; len];
+                r.read_into(offset, &mut out).unwrap();
+                assert_eq!(out, data, "read_into offset={offset} len={len}");
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_writes_to_disjoint_bytes_of_shared_words_both_survive() {
+        // The threads own alternating 3-byte runs, so every word is shared and
+        // every write is a partial-word merge. Only the owner writes its bytes, so
+        // after each sweep it must read back exactly what it wrote: a merge that is
+        // not one atomic step puts back the other thread's stale bytes.
+        const LEN: usize = 48;
+        const ROUNDS: usize = 20_000;
+        let r = region(LEN);
+        let runs = |owner: usize| (0..LEN).step_by(3).filter(move |s| (s / 3) % 2 == owner);
+        let start = std::sync::Barrier::new(2);
+        let clobbered: usize = std::thread::scope(|s| {
+            let threads: Vec<_> = [(0usize, 0xA0u8), (1, 0x50)]
+                .into_iter()
+                .map(|(owner, value)| {
+                    let (r, start) = (&r, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        let mut clobbered = 0;
+                        for round in 0..=ROUNDS {
+                            let v = value ^ round as u8;
+                            for start in runs(owner) {
+                                r.write(start, &[v; 3]).unwrap();
+                            }
+                            for start in runs(owner) {
+                                if r.read(start, 3).unwrap() != [v; 3] {
+                                    clobbered += 1;
+                                }
+                            }
+                        }
+                        clobbered
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).sum()
+        });
+        assert_eq!(clobbered, 0, "a partial-word write clobbered its neighbour");
+        let data = r.read(0, LEN).unwrap();
+        for (i, &b) in data.iter().enumerate() {
+            let value = if (i / 3) % 2 == 0 { 0xA0 } else { 0x50 };
+            assert_eq!(b, value ^ ROUNDS as u8, "byte {i}");
+        }
     }
 }

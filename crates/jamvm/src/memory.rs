@@ -35,7 +35,6 @@
 //! The [`JamSpace`] trait is the VM- and extern-facing abstraction both forms
 //! implement, so the interpreter is agnostic about which mode a message runs in.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// What a segment holds; used for permissions and for statistics.
@@ -133,11 +132,12 @@ impl std::fmt::Display for MemFault {
 
 impl std::error::Error for MemFault {}
 
-/// The set of segments a jam can address.
+/// The set of segments a jam can address. Names resolve by a linear scan: a
+/// space holds a handful of segments (the message's ARGS/USR plus a few exported
+/// objects), so mapping and unmapping keep no index and allocate nothing.
 #[derive(Debug, Default, Clone)]
 pub struct AddressSpace {
     segments: Vec<Segment>,
-    by_name: HashMap<String, usize>,
 }
 
 impl AddressSpace {
@@ -148,7 +148,7 @@ impl AddressSpace {
 
     /// Map a segment. Fails on name collision or address overlap.
     pub fn map(&mut self, seg: Segment) -> Result<(), MemFault> {
-        if self.by_name.contains_key(&seg.name) {
+        if self.position(&seg.name).is_some() {
             return Err(MemFault::DuplicateName(seg.name));
         }
         for existing in &self.segments {
@@ -157,32 +157,28 @@ impl AddressSpace {
                 return Err(MemFault::Overlap { name: seg.name });
             }
         }
-        self.by_name.insert(seg.name.clone(), self.segments.len());
         self.segments.push(seg);
         Ok(())
     }
 
     /// Unmap a segment by name, returning it (so the runtime can copy results out).
     pub fn unmap(&mut self, name: &str) -> Option<Segment> {
-        let idx = self.by_name.remove(name)?;
-        let seg = self.segments.remove(idx);
-        // Reindex.
-        self.by_name.clear();
-        for (i, s) in self.segments.iter().enumerate() {
-            self.by_name.insert(s.name.clone(), i);
-        }
-        Some(seg)
+        let idx = self.position(name)?;
+        Some(self.segments.remove(idx))
+    }
+
+    fn position(&self, name: &str) -> Option<usize> {
+        self.segments.iter().position(|s| s.name == name)
     }
 
     /// Borrow a segment by name.
     pub fn segment(&self, name: &str) -> Option<&Segment> {
-        self.by_name.get(name).map(|&i| &self.segments[i])
+        self.segments.iter().find(|s| s.name == name)
     }
 
     /// Mutably borrow a segment by name.
     pub fn segment_mut(&mut self, name: &str) -> Option<&mut Segment> {
-        let idx = *self.by_name.get(name)?;
-        Some(&mut self.segments[idx])
+        self.segments.iter_mut().find(|s| s.name == name)
     }
 
     /// Names of all mapped segments.
@@ -496,6 +492,12 @@ mod tests {
             Err(MemFault::DuplicateName(_))
         ));
         assert_eq!(s.len(), 3);
+        // A name stays taken until its own segment is unmapped.
+        let dup = || Segment::new("args", 0x80000, vec![0; 8], true, SegmentKind::Heap);
+        s.unmap("heap").unwrap();
+        assert_eq!(s.map(dup()), Err(MemFault::DuplicateName("args".into())));
+        s.unmap("args").unwrap();
+        assert!(s.map(dup()).is_ok(), "an unmapped name can be mapped again");
     }
 
     #[test]
@@ -540,16 +542,24 @@ mod tests {
 
     #[test]
     fn unmap_returns_segment_and_reindexes() {
+        // Unmap the middle of three segments: the other two still resolve by
+        // name and by address, and mapping order is kept.
         let mut s = space();
+        assert_eq!(s.segment_names(), ["args", "payload", "heap"]);
         let seg = s.unmap("payload").unwrap();
         assert_eq!(seg.data.len(), 256);
         assert!(s.segment("payload").is_none());
-        assert!(
-            s.segment("heap").is_some(),
-            "other segments still reachable after reindex"
-        );
+        assert!(s.segment_mut("payload").is_none());
+        assert_eq!(s.segment("args").unwrap().base, 0x1000);
+        s.segment_mut("heap").unwrap().data[0] = 0x42;
+        assert_eq!(s.read(0x10000, 1).unwrap(), [0x42]);
+        assert_eq!(s.segments[s.find(0x1000, 8).unwrap()].name, "args");
+        assert_eq!(s.segments[s.find(0x10010, 8).unwrap()].name, "heap");
+        assert!(matches!(s.find(0x2000, 8), Err(MemFault::Unmapped { .. })));
         assert!(s.unmap("payload").is_none());
-        assert_eq!(s.segment_names().len(), 2);
+        assert_eq!(s.segment_names(), ["args", "heap"]);
+        s.map(seg).unwrap();
+        assert_eq!(s.segment_names(), ["args", "heap", "payload"]);
     }
 
     #[test]

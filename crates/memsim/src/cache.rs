@@ -277,17 +277,19 @@ impl SetAssocCache {
         dirty_victim
     }
 
-    /// Invalidate the line containing `addr` if present; returns true if it was dirty.
+    /// Invalidate the line containing `addr` if present; returns true if a line was
+    /// dropped. A dirty line is dropped without a write-back: invalidation is how a
+    /// DMA overwrite makes every cached copy stale.
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let line = self.line_of(addr);
         let set = self.set_of(line);
         let ways = self.set_slice(set);
-        if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == line) {
-            let was_dirty = w.dirty;
-            *w = Way::empty();
-            was_dirty
-        } else {
-            false
+        match ways.iter_mut().find(|w| w.valid && w.tag == line) {
+            Some(w) => {
+                *w = Way::empty();
+                true
+            }
+            None => false,
         }
     }
 
@@ -375,8 +377,16 @@ mod tests {
     fn invalidate_removes_line() {
         let mut c = small_cache();
         c.access(0x80, AccessKind::Write);
+        c.access(0x100, AccessKind::Read);
         assert!(c.contains(0x80));
-        assert!(c.invalidate(0x80), "dirty line invalidation reports dirty");
+        assert!(
+            c.invalidate(0x80),
+            "dirty line invalidation reports presence"
+        );
+        assert!(
+            c.invalidate(0x100),
+            "clean line invalidation reports presence"
+        );
         assert!(!c.contains(0x80));
         assert!(!c.invalidate(0x80), "second invalidation is a no-op");
     }

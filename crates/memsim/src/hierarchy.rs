@@ -433,6 +433,20 @@ impl CacheHierarchy {
     pub fn llc_contains(&self, addr: u64) -> bool {
         self.llc.contains(addr)
     }
+
+    /// Check whether the line containing `addr` resides in `cluster`'s L3 slice
+    /// (parity tests against the sharded model).
+    #[cfg(test)]
+    pub(crate) fn l3_contains(&self, cluster: usize, addr: u64) -> bool {
+        self.l3[cluster].contains(addr)
+    }
+
+    /// DRAM model accesses (demand fills + write-backs), the monolithic
+    /// counterpart of `SharedHierarchy::dram_model_accesses`.
+    #[cfg(test)]
+    pub(crate) fn dram_model_accesses(&self) -> u64 {
+        self.dram.accesses()
+    }
 }
 
 impl MemoryBus for CacheHierarchy {

@@ -275,6 +275,7 @@ impl SharedHierarchy {
             prefetcher: StridePrefetcher::new(prefetch_cfg),
             prefetch_gen_seen: self.prefetch_gen.load(Ordering::Acquire),
             stats: CoreCacheStats::default(),
+            inval_scratch: Vec::new(),
             shared: Arc::clone(self),
         }
     }
@@ -452,20 +453,20 @@ impl SharedHierarchy {
         (first, last)
     }
 
-    /// Post a batch of line invalidations to every core's inbox — one lock
+    /// Post the delivered lines `first..=last` to every core's inbox — one lock
     /// round-trip per core per delivery, not per line.
-    fn post_invalidations(&self, byte_addrs: &[u64]) {
-        if byte_addrs.is_empty() {
-            return;
-        }
+    fn post_invalidations(&self, first: u64, last: u64) {
+        let count = (last - first + 1) as usize;
         for inbox in &self.invals {
             let mut pending = inbox.pending.lock();
             if !pending.flush_all {
-                if pending.lines.len() + byte_addrs.len() > INVAL_INBOX_LIMIT {
+                if pending.lines.len() + count > INVAL_INBOX_LIMIT {
                     pending.lines.clear();
                     pending.flush_all = true;
                 } else {
-                    pending.lines.extend_from_slice(byte_addrs);
+                    pending
+                        .lines
+                        .extend((first..=last).map(|line| line * self.line_size as u64));
                 }
             }
             inbox.flag.store(true, Ordering::Release);
@@ -476,14 +477,16 @@ impl SharedHierarchy {
     /// contract as the monolithic
     /// [`CacheHierarchy::dma_write`](crate::hierarchy::CacheHierarchy::dma_write),
     /// with private-level invalidation delivered through the per-core inboxes.
+    ///
+    /// The LLC stripes and DRAM channels are visited line by line in address
+    /// order, exactly as the monolithic model does; the L3 slices hold no state
+    /// those visits read, so each slice is locked once per put and drops the
+    /// whole line range in one pass.
     pub fn dma_write(&self, addr: u64, len: usize) -> SimTime {
         let (first, last) = self.lines_covering(addr, len);
         let mut cost = SimTime::ZERO;
         let stashing = self.stashing_enabled();
-        let mut delivered = Vec::with_capacity((last - first + 1) as usize);
         for line in first..=last {
-            let byte = line * self.line_size as u64;
-            delivered.push(byte);
             if stashing {
                 let victim = self.llc[Self::stripe_of(line)].lock().stash_line(line);
                 if let Some(victim) = victim {
@@ -495,13 +498,7 @@ impl SharedHierarchy {
                 }
                 self.stats.stashed_lines.fetch_add(1, Ordering::Relaxed);
                 cost += self.cfg.latency.stash_install;
-                for l3 in &self.l3 {
-                    l3.lock().invalidate(byte);
-                }
             } else {
-                for l3 in &self.l3 {
-                    l3.lock().invalidate(byte);
-                }
                 {
                     let mut stripe = self.llc[Self::stripe_of(line)].lock();
                     stripe.invalidate_line(line);
@@ -511,7 +508,13 @@ impl SharedHierarchy {
                 cost += self.dram_writeback(line);
             }
         }
-        self.post_invalidations(&delivered);
+        for l3 in &self.l3 {
+            let mut l3 = l3.lock();
+            for line in first..=last {
+                l3.invalidate(line * self.line_size as u64);
+            }
+        }
+        self.post_invalidations(first, last);
         cost
     }
 
@@ -619,6 +622,8 @@ pub struct CoreBus {
     prefetcher: StridePrefetcher,
     prefetch_gen_seen: u64,
     stats: CoreCacheStats,
+    /// Drained inbox lines; swapped with the inbox's list on every drain.
+    inval_scratch: Vec<u64>,
     shared: Arc<SharedHierarchy>,
 }
 
@@ -656,38 +661,37 @@ impl CoreBus {
         }
     }
 
-    /// Drain pending DMA invalidations before touching the private levels.
+    /// Drain pending DMA invalidations before touching the private levels. The
+    /// pending list is swapped with this bus's own (empty) scratch list, so both
+    /// keep their capacity and a steady stream of puts allocates nothing.
     #[inline]
     fn drain_invalidations(&mut self) {
         let inbox = &self.shared.invals[self.core];
         if !inbox.flag.load(Ordering::Acquire) {
             return;
         }
-        let (lines, flush_all) = {
+        let flush_all = {
             let mut pending = inbox.pending.lock();
             inbox.flag.store(false, Ordering::Release);
-            (
-                std::mem::take(&mut pending.lines),
-                std::mem::replace(&mut pending.flush_all, false),
-            )
+            std::mem::swap(&mut pending.lines, &mut self.inval_scratch);
+            std::mem::replace(&mut pending.flush_all, false)
         };
         if flush_all {
             self.l1.clear();
             self.l2.clear();
             self.prefetcher.reset();
             self.stats.invalidations_applied += 1;
-            return;
-        }
-        for byte in lines {
-            // `invalidate` reports dirtiness, not presence: probe first so the
-            // counter reflects every stale line actually dropped.
-            let present = self.l1.contains(byte) || self.l2.contains(byte);
-            self.l1.invalidate(byte);
-            self.l2.invalidate(byte);
-            if present {
-                self.stats.invalidations_applied += 1;
+        } else {
+            for &byte in &self.inval_scratch {
+                // Count every stale line actually dropped, at either level.
+                let in_l1 = self.l1.invalidate(byte);
+                let in_l2 = self.l2.invalidate(byte);
+                if in_l1 || in_l2 {
+                    self.stats.invalidations_applied += 1;
+                }
             }
         }
+        self.inval_scratch.clear();
     }
 
     /// Charge a single-line demand access.
@@ -889,21 +893,66 @@ mod tests {
 
     #[test]
     fn dma_parity_with_monolithic_model() {
+        // Mailbox-shaped traffic: unaligned multi-line frames delivered into two
+        // reused slots, each followed by a poll of the header line and a read of
+        // the whole frame on a core in each cluster. Between puts the pollers hold
+        // the slot's lines in L1/L2, so every put must drop them through the inbox
+        // (batched per put) exactly where the monolithic model drops them inline.
         for stashing in [true, false] {
             let cfg = TestbedConfig::tiny_for_tests();
+            let line_size = cfg.caches.llc.line_size as u64;
             let mut mono = CacheHierarchy::new(cfg.clone());
             mono.set_stashing(stashing);
-            let sh = Arc::new(SharedHierarchy::new(cfg));
+            let sh = Arc::new(SharedHierarchy::new(cfg.clone()));
             sh.set_stashing(stashing);
-            let mut bus = sh.core_bus(2);
-            // Pre-touch, deliver, re-touch: the classic stash/non-stash probe.
-            let mut t_mono = mono.access(2, 0x4000, 128, AccessKind::Read);
-            let mut t_shard = bus.access(2, 0x4000, 128, AccessKind::Read);
-            mono.dma_write(0x4000, 128);
-            sh.dma_write(0x4000, 128);
-            t_mono += mono.access(2, 0x4000, 128, AccessKind::Read);
-            t_shard += bus.access(2, 0x4000, 128, AccessKind::Read);
+            let mut buses = [sh.core_bus(1), sh.core_bus(2)];
+            let (mut t_mono, mut t_shard) = (SimTime::ZERO, SimTime::ZERO);
+            let mut held = 0;
+            for round in 0..8u64 {
+                for slot in 0..2u64 {
+                    let addr = 0x10_0000 + slot * 1280 + round % 3;
+                    let len = 1173;
+                    let (first, last) = sh.lines_covering(addr, len);
+                    for bus in &buses {
+                        held += (first..=last)
+                            .filter(|l| {
+                                bus.l1.contains(l * line_size) || bus.l2.contains(l * line_size)
+                            })
+                            .count() as u64;
+                    }
+                    t_mono += mono.dma_write(addr, len);
+                    t_shard += sh.dma_write(addr, len);
+                    for bus in &mut buses {
+                        let core = bus.core();
+                        for _ in 0..3 {
+                            t_mono += mono.access(core, addr, 16, AccessKind::Read);
+                            t_shard += bus.access(core, addr, 16, AccessKind::Read);
+                        }
+                        t_mono += mono.access(core, addr, len, AccessKind::Read);
+                        t_shard += bus.access(core, addr, len, AccessKind::Read);
+                    }
+                }
+            }
             assert_eq!(t_mono, t_shard, "stashing={stashing}");
+            for cluster in 0..cfg.num_clusters() {
+                for line in (0x10_0000 / line_size)..((0x10_0000 + 2 * 1280) / line_size) {
+                    let byte = line * line_size;
+                    assert_eq!(
+                        sh.l3[cluster].lock().contains(byte),
+                        mono.l3_contains(cluster, byte),
+                        "stashing={stashing} L3 slice {cluster} line {line:#x}"
+                    );
+                }
+            }
+            let applied: u64 = buses.iter().map(|b| b.stats().invalidations_applied).sum();
+            assert!(held > 0, "the pollers must hold delivered lines privately");
+            assert_eq!(applied, held, "one invalidation per privately held line");
+            let mut merged = sh.stats();
+            for bus in &buses {
+                merged.absorb_core(&bus.stats());
+            }
+            assert_eq!(merged, mono.stats(), "stashing={stashing}");
+            assert_eq!(sh.dram_model_accesses(), mono.dram_model_accesses());
         }
     }
 
