@@ -41,6 +41,9 @@ struct Way {
     tag: u64,
     valid: bool,
     dirty: bool,
+    /// Installed by the prefetcher and not yet demanded. The mark lives and dies
+    /// with the way, so an evicted or invalidated line cannot leave it behind.
+    prefetched: bool,
     /// LRU timestamp: larger = more recently used.
     stamp: u64,
 }
@@ -51,6 +54,7 @@ impl Way {
             tag: 0,
             valid: false,
             dirty: false,
+            prefetched: false,
             stamp: 0,
         }
     }
@@ -159,6 +163,21 @@ impl SetAssocCache {
         &mut self.ways[start..start + self.ways_per_set]
     }
 
+    /// The way a fill of this set replaces: an invalid way first, otherwise the
+    /// LRU one.
+    #[inline]
+    fn victim_index(ways: &[Way]) -> usize {
+        match ways.iter().position(|w| !w.valid) {
+            Some(i) => i,
+            None => ways
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, w)| w.stamp)
+                .map(|(i, _)| i)
+                .expect("set has at least one way"),
+        }
+    }
+
     /// Probe for the line containing `addr` without changing LRU state or stats.
     pub fn contains(&self, addr: u64) -> bool {
         let line = self.line_of(addr);
@@ -198,17 +217,7 @@ impl SetAssocCache {
         }
 
         // Miss: fill, choosing an invalid way first, otherwise the LRU victim.
-        let victim_idx = {
-            if let Some((i, _)) = ways.iter().enumerate().find(|(_, w)| !w.valid) {
-                i
-            } else {
-                ways.iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.stamp)
-                    .map(|(i, _)| i)
-                    .expect("set has at least one way")
-            }
-        };
+        let victim_idx = Self::victim_index(ways);
         let victim = ways[victim_idx];
         let dirty_victim = if victim.valid && victim.dirty {
             Some(victim.tag)
@@ -219,6 +228,7 @@ impl SetAssocCache {
             tag: line,
             valid: true,
             dirty: kind.is_write(),
+            prefetched: false,
             stamp: tick,
         };
         self.stats.misses += 1;
@@ -235,29 +245,49 @@ impl SetAssocCache {
     /// installed clean-from-the-core's-perspective but marked dirty, because stashed
     /// data arrived from the device and has not been written back to DRAM yet (the
     /// paper notes stashed traffic is "eventually written back to the main memory").
+    /// Device data is not prefetched data, so a stash clears the line's prefetched
+    /// mark.
     ///
     /// Returns the dirty victim line if one had to be evicted.
     pub fn stash_line(&mut self, line: u64) -> Option<u64> {
+        self.install(line, false)
+    }
+
+    /// Install a line on behalf of the hardware prefetcher: the same port and
+    /// write-back accounting as [`SetAssocCache::stash_line`], but the line is
+    /// marked prefetched until a demand hit consumes the mark
+    /// ([`SetAssocCache::take_prefetched`]) or the line leaves the cache.
+    ///
+    /// Returns the dirty victim line if one had to be evicted.
+    pub fn prefetch_line(&mut self, line: u64) -> Option<u64> {
+        self.install(line, true)
+    }
+
+    /// Consume the prefetched mark of line `line`: true when the line is resident
+    /// and was installed by [`SetAssocCache::prefetch_line`] since its last
+    /// consumed mark. Touches neither LRU state nor statistics.
+    pub fn take_prefetched(&mut self, line: u64) -> bool {
+        let set = self.set_of(line);
+        self.set_slice(set)
+            .iter_mut()
+            .find(|w| w.valid && w.tag == line)
+            .is_some_and(|w| std::mem::replace(&mut w.prefetched, false))
+    }
+
+    fn install(&mut self, line: u64, prefetched: bool) -> Option<u64> {
         self.tick += 1;
         let tick = self.tick;
+        self.stats.stashed_lines += 1;
         let set = self.set_of(line);
         let ways = self.set_slice(set);
         if let Some(w) = ways.iter_mut().find(|w| w.valid && w.tag == line) {
-            // Device overwrote a line we already track: refresh it.
+            // The line is already tracked: refresh it.
             w.stamp = tick;
             w.dirty = true;
-            self.stats.stashed_lines += 1;
+            w.prefetched = prefetched;
             return None;
         }
-        let victim_idx = if let Some((i, _)) = ways.iter().enumerate().find(|(_, w)| !w.valid) {
-            i
-        } else {
-            ways.iter()
-                .enumerate()
-                .min_by_key(|(_, w)| w.stamp)
-                .map(|(i, _)| i)
-                .unwrap()
-        };
+        let victim_idx = Self::victim_index(ways);
         let victim = ways[victim_idx];
         let dirty_victim = if victim.valid && victim.dirty {
             Some(victim.tag)
@@ -268,9 +298,9 @@ impl SetAssocCache {
             tag: line,
             valid: true,
             dirty: true,
+            prefetched,
             stamp: tick,
         };
-        self.stats.stashed_lines += 1;
         if dirty_victim.is_some() {
             self.stats.writebacks += 1;
         }
@@ -371,6 +401,38 @@ mod tests {
         c.stash_line(7 + set_stride);
         let victim = c.stash_line(7 + 2 * set_stride);
         assert_eq!(victim, Some(7));
+    }
+
+    #[test]
+    fn prefetched_mark_is_consumed_once_and_cleared_by_a_stash() {
+        let mut c = small_cache();
+        assert_eq!(c.prefetch_line(3), None);
+        assert!(c.contains(3 * 64));
+        assert!(c.access_line(3, AccessKind::Read).hit);
+        assert!(c.take_prefetched(3), "first demand hit consumes the mark");
+        assert!(!c.take_prefetched(3), "the mark is consumed once");
+        c.prefetch_line(5);
+        c.stash_line(5);
+        assert!(!c.take_prefetched(5), "device data is not prefetched data");
+        assert!(!c.take_prefetched(9), "absent lines carry no mark");
+    }
+
+    #[test]
+    fn prefetched_mark_leaves_with_its_way() {
+        let mut c = small_cache();
+        let set_stride = 4u64;
+        // Evicted by two later installs into the same set, then demand-refilled.
+        c.prefetch_line(2);
+        c.prefetch_line(2 + set_stride);
+        c.stash_line(2 + 2 * set_stride);
+        assert!(!c.contains(2 * 64));
+        assert!(!c.access_line(2, AccessKind::Read).hit);
+        assert!(!c.take_prefetched(2), "a demand refill carries no mark");
+        // Invalidated, then demand-refilled.
+        c.prefetch_line(7);
+        assert!(c.invalidate(7 * 64));
+        c.access_line(7, AccessKind::Read);
+        assert!(!c.take_prefetched(7));
     }
 
     #[test]

@@ -27,13 +27,11 @@
 //! core's invalidation inbox, drained at the start of that core's next access —
 //! before the core can observe a stale line.
 
-use std::collections::HashSet;
-
 use crate::cache::{AccessKind, CacheStats, SetAssocCache};
 use crate::clock::SimTime;
 use crate::config::TestbedConfig;
 use crate::latency::DramModel;
-use crate::prefetch::StridePrefetcher;
+use crate::prefetch::{PrefetchRun, StridePrefetcher};
 use crate::stress::MemoryStressor;
 
 /// Anything that can charge memory accesses. The jam VM and the message runtime are
@@ -120,9 +118,6 @@ pub struct CacheHierarchy {
     prefetchers: Vec<StridePrefetcher>,
     dram: DramModel,
     stressor: Option<MemoryStressor>,
-    /// LLC-resident lines that were brought in by a prefetch and have not yet been
-    /// demanded; used for prefetch-usefulness accounting.
-    prefetched: HashSet<u64>,
     stats: HierarchyStats,
     line_size: usize,
 }
@@ -154,7 +149,6 @@ impl CacheHierarchy {
             prefetchers,
             dram,
             stressor: None,
-            prefetched: HashSet::new(),
             stats: HierarchyStats::default(),
             line_size,
         }
@@ -243,7 +237,6 @@ impl CacheHierarchy {
         for p in &mut self.prefetchers {
             p.reset();
         }
-        self.prefetched.clear();
         self.stats = HierarchyStats::default();
     }
 
@@ -264,10 +257,21 @@ impl CacheHierarchy {
         (first, last)
     }
 
+    /// Install a prefetcher's run into the LLC. Prefetches land in the background;
+    /// the demand path does not pay for them, but evicted dirty victims still
+    /// generate write-back traffic.
+    fn install_prefetches(&mut self, run: PrefetchRun) {
+        self.stats.prefetches_issued += run.len() as u64;
+        for pline in run {
+            if self.llc.prefetch_line(pline).is_some() {
+                self.stats.writebacks += 1;
+            }
+        }
+    }
+
     /// Charge a single-line demand access from `core`.
     fn access_line(&mut self, core: usize, line: u64, kind: AccessKind) -> SimTime {
         let cluster = self.cfg.cluster_of(core);
-        let byte_addr = line * self.line_size as u64;
         let lat = self.cfg.latency;
 
         // L1
@@ -313,48 +317,28 @@ impl CacheHierarchy {
         let outl = self.llc.access_line(line, kind);
         if outl.hit {
             self.stats.llc_hits += 1;
-            if self.prefetched.remove(&line) {
+            if self.llc.take_prefetched(line) {
                 self.stats.prefetch_hits += 1;
                 self.prefetchers[core].record_useful();
                 // Keep the stream trained: real prefetchers observe the demand
-                // stream, so hitting a prefetched line extends the lookahead instead
+                // stream, so hitting a prefetched line tops the lookahead up instead
                 // of letting the stream go cold after `degree` lines.
-                let issued = self.prefetchers[core].observe_miss(line);
-                if !issued.is_empty() {
-                    self.stats.prefetches_issued += issued.len() as u64;
-                    for pline in issued {
-                        if self.llc.stash_line(pline).is_some() {
-                            self.stats.writebacks += 1;
-                        }
-                        self.prefetched.insert(pline);
-                    }
-                }
+                let run = self.prefetchers[core].observe_miss(line);
+                self.install_prefetches(run);
             }
             return cost + lat.llc_hit;
         }
         cost += lat.llc_hit;
-        if let Some(victim) = outl.dirty_victim {
+        if outl.dirty_victim.is_some() {
             cost += self.dram.writeback();
             self.stats.writebacks += 1;
-            self.prefetched.remove(&victim);
         }
 
         // DRAM + prefetcher training.
         self.stats.dram_accesses += 1;
         cost += self.dram.line_access(self.stressor.as_mut());
-        let issued = self.prefetchers[core].observe_miss(line);
-        if !issued.is_empty() {
-            self.stats.prefetches_issued += issued.len() as u64;
-            for pline in issued {
-                // Prefetches land in the LLC in the background; the demand path does
-                // not pay for them, but evicted dirty victims still generate traffic.
-                if let Some(_victim) = self.llc.stash_line(pline) {
-                    self.stats.writebacks += 1;
-                }
-                self.prefetched.insert(pline);
-            }
-        }
-        let _ = byte_addr;
+        let run = self.prefetchers[core].observe_miss(line);
+        self.install_prefetches(run);
         cost
     }
 
@@ -401,7 +385,6 @@ impl CacheHierarchy {
                     l3.invalidate(byte);
                 }
                 self.llc.invalidate(byte);
-                self.prefetched.remove(&line);
                 self.stats.dma_dram_lines += 1;
                 cost += self.dram.writeback();
             }

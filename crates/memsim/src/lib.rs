@@ -52,6 +52,6 @@ pub use config::{
 pub use cycles::{CycleCounter, WaitMode, WaitOutcome};
 pub use hierarchy::{CacheHierarchy, HierarchyStats, MemoryBus};
 pub use latency::DramModel;
-pub use prefetch::StridePrefetcher;
+pub use prefetch::{PrefetchRun, StridePrefetcher};
 pub use sharded::{CoreBus, CoreCacheStats, SharedHierarchy};
 pub use stress::MemoryStressor;

@@ -10,9 +10,21 @@
 //!
 //! [`StridePrefetcher`] is a classic per-stream, next-N-lines prefetcher: it observes
 //! demand misses, detects unit-stride streams after a configurable training
-//! threshold, and then keeps `degree` lines of lookahead warm. The hierarchy asks it
-//! two questions: *did a prefetch already cover this line?* and *which lines should
-//! be prefetched next?*
+//! threshold, and then keeps a **bounded** lookahead of `degree` lines ahead of
+//! demand, as real stride prefetchers do. Each observation of a trained stream
+//! issues only the lines between what the stream already issued and
+//! `line + direction · degree`: the first trained observation issues `degree`
+//! lines, a stream advancing one line at a time issues one more line per
+//! observation, and the lookahead never runs further than `degree` lines ahead
+//! of demand. A descending stream stops at line 0.
+//!
+//! The hierarchy asks it one question per demand miss (or prefetch hit):
+//! *which lines should be prefetched next?* The answer is always one contiguous
+//! [`PrefetchRun`]. Whether a demand hit was covered by a prefetch is not
+//! tracked here: the hierarchies keep that mark on the LLC way itself
+//! ([`SetAssocCache::prefetch_line`](crate::cache::SetAssocCache::prefetch_line)
+//! sets it, [`SetAssocCache::take_prefetched`](crate::cache::SetAssocCache::take_prefetched)
+//! consumes it), so it leaves the cache together with the line.
 
 use crate::config::PrefetchConfig;
 use std::collections::VecDeque;
@@ -27,9 +39,50 @@ struct Stream {
     stride: i64,
     /// Consecutive confirmations of the stride.
     confidence: usize,
-    /// Furthest line already issued as a prefetch for this stream.
+    /// Furthest line issued as a prefetch for this stream under its current
+    /// stride. Reset to the demand line whenever the stride changes, so a value
+    /// at or behind demand means nothing is outstanding.
     issued_until: u64,
 }
+
+/// The lines one [`StridePrefetcher::observe_miss`] call issues: a contiguous run
+/// in one direction, iterated in issue order (nearest to demand first).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefetchRun {
+    next: u64,
+    remaining: usize,
+    descending: bool,
+}
+
+impl PrefetchRun {
+    /// Whether the run issues nothing.
+    pub fn is_empty(&self) -> bool {
+        self.remaining == 0
+    }
+}
+
+impl Iterator for PrefetchRun {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        if self.remaining == 0 {
+            return None;
+        }
+        let line = self.next;
+        self.remaining -= 1;
+        if self.remaining > 0 {
+            self.next = if self.descending { line - 1 } else { line + 1 };
+        }
+        Some(line)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for PrefetchRun {}
 
 /// Per-core stride prefetcher.
 #[derive(Debug, Clone)]
@@ -74,69 +127,67 @@ impl StridePrefetcher {
     }
 
     /// Observe a demand access to `line` (line index, not byte address) that missed
-    /// in the private caches. Returns the list of lines that should be prefetched as
-    /// a consequence (possibly empty).
-    pub fn observe_miss(&mut self, line: u64) -> Vec<u64> {
+    /// in the private caches. Returns the run of lines that should be prefetched as
+    /// a consequence (possibly empty, never more than `degree` lines).
+    pub fn observe_miss(&mut self, line: u64) -> PrefetchRun {
         if !self.cfg.enabled {
-            return Vec::new();
+            return PrefetchRun::default();
         }
 
         // Find a stream whose next expected line matches (within a small window).
-        let mut matched: Option<usize> = None;
-        for (i, s) in self.streams.iter().enumerate() {
+        let matched = self.streams.iter().position(|s| {
             let delta = line as i64 - s.last_line as i64;
-            if delta != 0 && delta.abs() <= 4 {
-                matched = Some(i);
-                let _ = delta;
-                break;
+            delta != 0 && delta.abs() <= 4
+        });
+
+        let Some(i) = matched else {
+            // New stream.
+            if self.streams.len() >= self.cfg.streams {
+                self.streams.pop_front();
             }
+            self.streams.push_back(Stream {
+                last_line: line,
+                stride: 0,
+                confidence: 0,
+                issued_until: line,
+            });
+            return PrefetchRun::default();
+        };
+
+        let s = &mut self.streams[i];
+        let delta = line as i64 - s.last_line as i64;
+        if delta == s.stride {
+            s.confidence += 1;
+        } else {
+            s.stride = delta;
+            s.confidence = 1;
+            s.issued_until = line;
+        }
+        s.last_line = line;
+        if s.confidence < self.cfg.train_threshold || s.stride.abs() != 1 {
+            return PrefetchRun::default();
         }
 
-        match matched {
-            Some(i) => {
-                let mut s = self.streams[i];
-                let delta = line as i64 - s.last_line as i64;
-                if delta == s.stride {
-                    s.confidence += 1;
-                } else {
-                    s.stride = delta;
-                    s.confidence = 1;
-                }
-                s.last_line = line;
-                let mut out = Vec::new();
-                if s.confidence >= self.cfg.train_threshold && s.stride.abs() == 1 {
-                    // Trained: keep `degree` lines of lookahead issued.
-                    let dir = s.stride.signum();
-                    let mut next =
-                        if s.issued_until == 0 || s.confidence == self.cfg.train_threshold {
-                            line
-                        } else {
-                            s.issued_until
-                        };
-                    for _ in 0..self.cfg.degree {
-                        let candidate = (next as i64 + dir) as u64;
-                        out.push(candidate);
-                        next = candidate;
-                    }
-                    s.issued_until = next;
-                    self.issued += out.len() as u64;
-                }
-                self.streams[i] = s;
-                out
-            }
-            None => {
-                // New stream.
-                if self.streams.len() >= self.cfg.streams {
-                    self.streams.pop_front();
-                }
-                self.streams.push_back(Stream {
-                    last_line: line,
-                    stride: 0,
-                    confidence: 0,
-                    issued_until: 0,
-                });
-                Vec::new()
-            }
+        // Trained: top the lookahead up to `degree` lines ahead of demand,
+        // resuming after the last issued line unless demand caught up with it.
+        let degree = self.cfg.degree as u64;
+        let descending = s.stride < 0;
+        let (from, target) = if descending {
+            (s.issued_until.min(line), line.saturating_sub(degree))
+        } else {
+            (s.issued_until.max(line), line.saturating_add(degree))
+        };
+        let count = from.abs_diff(target) as usize;
+        s.issued_until = target;
+        self.issued += count as u64;
+        PrefetchRun {
+            next: if descending {
+                from.wrapping_sub(1)
+            } else {
+                from.wrapping_add(1)
+            },
+            remaining: count,
+            descending,
         }
     }
 
@@ -186,6 +237,118 @@ mod tests {
             issued.iter().any(|&l| l >= 110),
             "lookahead should run ahead of demand"
         );
+    }
+
+    /// Drive `lines` through a fresh prefetcher with `degree` 8 and check the
+    /// lookahead bound: nothing issued further than `degree` lines past the
+    /// demand that issued it, and no more issues than demand lines + `degree`.
+    fn assert_lookahead_bounded(lines: impl Iterator<Item = u64>, descending: bool) {
+        let degree = 8;
+        let mut p = StridePrefetcher::new(PrefetchConfig {
+            enabled: true,
+            train_threshold: 3,
+            degree,
+            streams: 4,
+        });
+        let mut demand = 0u64;
+        for line in lines {
+            demand += 1;
+            let run = p.observe_miss(line);
+            assert!(run.len() <= degree, "one observation issues at most degree");
+            for pline in run {
+                if descending {
+                    assert!(pline < line && line - pline <= degree as u64);
+                } else {
+                    assert!(pline > line && pline - line <= degree as u64);
+                }
+            }
+        }
+        assert!(p.issued() > 0);
+        assert!(
+            p.issued() <= demand + degree as u64,
+            "{} issued for {demand} demand lines",
+            p.issued()
+        );
+    }
+
+    #[test]
+    fn ascending_lookahead_stays_within_degree_of_demand() {
+        assert_lookahead_bounded(5_000..6_000u64, false);
+        // The whole stream's furthest issue is bounded by its last demand line.
+        let mut p = StridePrefetcher::new(PrefetchConfig {
+            enabled: true,
+            train_threshold: 3,
+            degree: 8,
+            streams: 4,
+        });
+        let max = (5_000..6_000u64).flat_map(|l| p.observe_miss(l)).max();
+        assert_eq!(max, Some(5_999 + 8));
+    }
+
+    #[test]
+    fn descending_lookahead_stays_within_degree_of_demand() {
+        assert_lookahead_bounded((5_000..6_000u64).rev(), true);
+    }
+
+    #[test]
+    fn a_trained_stream_issues_one_line_per_demand_line() {
+        let mut p = StridePrefetcher::new(cfg(true));
+        let runs: Vec<Vec<u64>> = (100..110u64).map(|l| p.observe_miss(l).collect()).collect();
+        assert!(runs[0].is_empty(), "first miss opens the stream");
+        assert!(
+            runs[1].is_empty(),
+            "one confirmation is below the threshold"
+        );
+        assert_eq!(runs[2], vec![103, 104, 105, 106], "training issues degree");
+        for (i, run) in runs.iter().enumerate().skip(3) {
+            assert_eq!(run, &vec![100 + i as u64 + 4], "steady state tops up one");
+        }
+    }
+
+    #[test]
+    fn issuing_restarts_at_the_new_line_after_a_stream_jump() {
+        let mut p = StridePrefetcher::new(cfg(true));
+        for l in 100..110u64 {
+            p.observe_miss(l);
+        }
+        // A jump inside the match window retrains the stream at its new
+        // position instead of resuming after the old lookahead.
+        assert!(p.observe_miss(112).is_empty(), "stride 3 does not issue");
+        assert!(
+            p.observe_miss(113).is_empty(),
+            "one confirmation retrains nothing"
+        );
+        let run: Vec<u64> = p.observe_miss(114).collect();
+        assert_eq!(run, vec![115, 116, 117, 118]);
+        // A jump far away opens a new stream, which issues from its own lines.
+        for l in 9_000..9_002u64 {
+            p.observe_miss(l);
+        }
+        let run: Vec<u64> = p.observe_miss(9_002).collect();
+        assert_eq!(run, vec![9_003, 9_004, 9_005, 9_006]);
+    }
+
+    #[test]
+    fn descending_stream_near_line_zero_stops_at_zero() {
+        let mut p = StridePrefetcher::new(PrefetchConfig {
+            enabled: true,
+            train_threshold: 2,
+            degree: 8,
+            streams: 4,
+        });
+        let mut issued = Vec::new();
+        for line in (0..=5u64).rev() {
+            issued.extend(p.observe_miss(line));
+        }
+        assert!(!issued.is_empty(), "the stream trains");
+        assert!(
+            issued.iter().all(|&l| l < 5),
+            "no line above the stream's start: {issued:?}"
+        );
+        let mut sorted = issued.clone();
+        sorted.sort_unstable();
+        sorted.dedup();
+        assert_eq!(sorted.len(), issued.len(), "no line issued twice");
     }
 
     #[test]

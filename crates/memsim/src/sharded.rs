@@ -43,7 +43,6 @@
 //! model would have reported (the `parity_with_monolithic_model` test pins
 //! this).
 
-use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -54,7 +53,7 @@ use crate::clock::SimTime;
 use crate::config::TestbedConfig;
 use crate::hierarchy::{HierarchyStats, MemoryBus};
 use crate::latency::DramModel;
-use crate::prefetch::StridePrefetcher;
+use crate::prefetch::{PrefetchRun, StridePrefetcher};
 use crate::stress::MemoryStressor;
 
 /// Number of lock stripes the shared LLC is split into.
@@ -107,19 +106,18 @@ struct PendingInvals {
     flush_all: bool,
 }
 
-/// One lock stripe of the shared LLC, with its slice of the
-/// prefetched-but-not-yet-demanded line set.
+/// One lock stripe of the shared LLC: a cache indexed by folded line.
 ///
 /// Stripe `k` owns the lines with `line % LLC_STRIPES == k`, and indexes its
 /// backing cache by `line / LLC_STRIPES`. When `LLC_STRIPES` divides the LLC
 /// set count, `(stripe, stripe-set)` is a bijection of the monolithic set
-/// index, so conflict behaviour matches the unsharded model exactly.
+/// index, so conflict behaviour matches the unsharded model exactly. The
+/// prefetched-not-yet-demanded mark is a bit on each way of that cache (see
+/// [`SetAssocCache::prefetch_line`]), so it leaves with the line on eviction or
+/// invalidation, exactly as in the monolithic LLC.
 #[derive(Debug)]
 struct LlcStripe {
     cache: SetAssocCache,
-    /// Prefetched-not-yet-demanded lines, stored *folded* (like the cache tags,
-    /// so victim tags from the cache compare directly).
-    prefetched: HashSet<u64>,
 }
 
 impl LlcStripe {
@@ -134,6 +132,14 @@ impl LlcStripe {
 
     fn stash_line(&mut self, line: u64) -> Option<u64> {
         self.cache.stash_line(Self::fold(line))
+    }
+
+    fn prefetch_line(&mut self, line: u64) -> Option<u64> {
+        self.cache.prefetch_line(Self::fold(line))
+    }
+
+    fn take_prefetched(&mut self, line: u64) -> bool {
+        self.cache.take_prefetched(Self::fold(line))
     }
 
     fn invalidate_line(&mut self, line: u64) -> bool {
@@ -214,7 +220,6 @@ impl SharedHierarchy {
             .map(|_| {
                 Mutex::new(LlcStripe {
                     cache: SetAssocCache::new(stripe_cfg),
-                    prefetched: HashSet::new(),
                 })
             })
             .collect();
@@ -409,9 +414,7 @@ impl SharedHierarchy {
             l3.lock().clear();
         }
         for stripe in &self.llc {
-            let mut s = stripe.lock();
-            s.cache.clear();
-            s.prefetched.clear();
+            stripe.lock().cache.clear();
         }
         for inbox in &self.invals {
             let mut pending = inbox.pending.lock();
@@ -499,11 +502,7 @@ impl SharedHierarchy {
                 self.stats.stashed_lines.fetch_add(1, Ordering::Relaxed);
                 cost += self.cfg.latency.stash_install;
             } else {
-                {
-                    let mut stripe = self.llc[Self::stripe_of(line)].lock();
-                    stripe.invalidate_line(line);
-                    stripe.prefetched.remove(&LlcStripe::fold(line));
-                }
+                self.llc[Self::stripe_of(line)].lock().invalidate_line(line);
                 self.stats.dma_dram_lines.fetch_add(1, Ordering::Relaxed);
                 cost += self.dram_writeback(line);
             }
@@ -526,18 +525,20 @@ impl SharedHierarchy {
         }
     }
 
-    /// Install prefetched lines into the LLC in the background. Displaced dirty
-    /// victims are charged to the shared write-back counter (the installs
+    /// Install a prefetcher's run into the LLC in the background. Displaced
+    /// dirty victims are charged to the shared write-back counter (the installs
     /// themselves happen off the demand path, exactly as in the monolithic
     /// model).
-    fn install_prefetches(&self, lines: &[u64]) {
+    fn install_prefetches(&self, run: PrefetchRun) {
         let mut writebacks = 0;
-        for &line in lines {
-            let mut stripe = self.llc[Self::stripe_of(line)].lock();
-            if stripe.stash_line(line).is_some() {
+        for line in run {
+            if self.llc[Self::stripe_of(line)]
+                .lock()
+                .prefetch_line(line)
+                .is_some()
+            {
                 writebacks += 1;
             }
-            stripe.prefetched.insert(LlcStripe::fold(line));
         }
         if writebacks > 0 {
             self.stats
@@ -575,11 +576,7 @@ impl SharedHierarchy {
         let (llc_hit, prefetch_hit, dirty_victim) = {
             let mut stripe = self.llc[Self::stripe_of(line)].lock();
             let out = stripe.access_line(line, kind);
-            let folded = LlcStripe::fold(line);
-            let pf = out.hit && stripe.prefetched.remove(&folded);
-            if let Some(victim) = out.dirty_victim {
-                stripe.prefetched.remove(&victim);
-            }
+            let pf = out.hit && stripe.take_prefetched(line);
             (out.hit, pf, out.dirty_victim)
         };
         if llc_hit {
@@ -730,18 +727,13 @@ impl CoreBus {
         if out.prefetch_hit {
             self.stats.prefetch_hits += 1;
             self.prefetcher.record_useful();
-            // Keep the stream trained, exactly like the monolithic model.
-            let issued = self.prefetcher.observe_miss(line);
-            if !issued.is_empty() {
-                self.stats.prefetches_issued += issued.len() as u64;
-                self.shared.install_prefetches(&issued);
-            }
-        } else if out.dram {
-            let issued = self.prefetcher.observe_miss(line);
-            if !issued.is_empty() {
-                self.stats.prefetches_issued += issued.len() as u64;
-                self.shared.install_prefetches(&issued);
-            }
+        }
+        // A prefetch hit keeps the stream trained, exactly like the
+        // monolithic model.
+        if out.prefetch_hit || out.dram {
+            let run = self.prefetcher.observe_miss(line);
+            self.stats.prefetches_issued += run.len() as u64;
+            self.shared.install_prefetches(run);
         }
         cost
     }
@@ -862,33 +854,135 @@ mod tests {
 
     #[test]
     fn parity_with_monolithic_model() {
-        // The same single-core access stream charges identical costs and
-        // produces identical hit/miss totals in both models (footprint chosen
-        // to avoid LLC capacity pressure, where the stripe split may diverge
-        // from the monolithic set mapping).
-        let cfg = TestbedConfig::tiny_for_tests();
+        // The same access streams charge identical costs, produce identical
+        // counters and leave identical LLC contents in both models, with the
+        // prefetcher off and on, under either stash setting. Core 0 reads
+        // ascending, rewrites those lines and fetches code; core 2 (the other
+        // cluster) reads a descending range. Then core 0 writes a sequential
+        // range whose prefetch lookahead runs past its end and core 2 re-reads
+        // it, while puts land in its middle. The footprint stays well inside
+        // the LLC.
+        for prefetch in [false, true] {
+            for stashing in [true, false] {
+                let mut cfg = TestbedConfig::tiny_for_tests();
+                cfg.prefetch.enabled = prefetch;
+                cfg.llc_stashing = stashing;
+                let line_size = cfg.caches.llc.line_size as u64;
+                let degree = cfg.prefetch.degree as u64;
+                let mut mono = CacheHierarchy::new(cfg.clone());
+                let sh = Arc::new(SharedHierarchy::new(cfg));
+                let mut buses = [sh.core_bus(0), sh.core_bus(2)];
+                let write_base = 0x8000u64;
+                let write_lines = 48u64;
+                let pattern: Vec<(usize, u64, usize, AccessKind)> = (0..32u64)
+                    .map(|i| (0, i * 64, 64, AccessKind::Read))
+                    .chain((0..32u64).map(|i| (0, i * 64, 8, AccessKind::Write)))
+                    .chain((0..8u64).map(|i| (0, 0x9000 + i * 128, 256, AccessKind::Fetch)))
+                    .chain(
+                        (0..24u64)
+                            .rev()
+                            .map(|i| (1, 0x4000 + i * 64, 64, AccessKind::Read)),
+                    )
+                    .chain(
+                        (0..write_lines).map(|i| (0, write_base + i * 64, 64, AccessKind::Write)),
+                    )
+                    .chain((0..write_lines).map(|i| (1, write_base + i * 64, 8, AccessKind::Read)))
+                    .collect();
+                let (mut t_mono, mut t_shard) = (SimTime::ZERO, SimTime::ZERO);
+                for (step, &(bus, addr, len, kind)) in pattern.iter().enumerate() {
+                    let core = buses[bus].core();
+                    t_mono += mono.access(core, addr, len, kind);
+                    t_shard += buses[bus].access(core, addr, len, kind);
+                    if step % 16 == 0 {
+                        t_mono += mono.dma_write(write_base + 16 * 64, 256);
+                        t_shard += sh.dma_write(write_base + 16 * 64, 256);
+                    }
+                }
+                let ctx = format!("prefetch={prefetch} stashing={stashing}");
+                assert_eq!(t_mono, t_shard, "{ctx}: cost models diverged");
+                let mut merged = sh.stats();
+                for bus in &buses {
+                    merged.absorb_core(&bus.stats());
+                }
+                assert_eq!(merged, mono.stats(), "{ctx}");
+                assert_eq!(merged.prefetch_hits > 0, prefetch, "{ctx}");
+                assert!(merged.prefetch_hits <= merged.prefetches_issued, "{ctx}");
+                let past_end = write_base / line_size + write_lines;
+                for line in 0..past_end + degree + 4 {
+                    assert_eq!(
+                        sh.llc_contains(line * line_size),
+                        mono.llc_contains(line * line_size),
+                        "{ctx}: LLC line {line:#x}"
+                    );
+                }
+                assert_eq!(
+                    (past_end..past_end + degree).all(|l| mono.llc_contains(l * line_size)),
+                    prefetch,
+                    "{ctx}: the write stream's lookahead runs past its end"
+                );
+                assert!(
+                    !mono.llc_contains((past_end + degree) * line_size),
+                    "{ctx}: and no further than degree lines"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn evicted_prefetches_never_count_as_prefetch_hits() {
+        // A prefetched line that leaves the LLC before any demand, and is then
+        // refilled by a demand miss, is ordinary data: the later hit on it is
+        // not a prefetch hit in either model, whether a DMA stash or a later
+        // prefetch install evicted it.
+        let mut cfg = TestbedConfig::tiny_for_tests();
+        cfg.prefetch.enabled = true;
+        let line_size = cfg.caches.llc.line_size as u64;
+        let sets = cfg.caches.llc.sets() as u64;
+        let ways = cfg.caches.llc.ways as u64;
+        let degree = cfg.prefetch.degree as u64;
         let mut mono = CacheHierarchy::new(cfg.clone());
         let sh = Arc::new(SharedHierarchy::new(cfg));
-        let mut bus = sh.core_bus(0);
-        let pattern: Vec<(u64, usize, AccessKind)> = (0..32u64)
-            .map(|i| (i * 64, 64, AccessKind::Read))
-            .chain((0..32u64).map(|i| (i * 64, 8, AccessKind::Write)))
-            .chain((0..8u64).map(|i| (0x9000 + i * 128, 256, AccessKind::Fetch)))
-            .collect();
-        let mut t_mono = SimTime::ZERO;
-        let mut t_shard = SimTime::ZERO;
-        for &(addr, len, kind) in &pattern {
-            t_mono += mono.access(0, addr, len, kind);
-            t_shard += bus.access(0, addr, len, kind);
+        // Core 0 trains on lines 0..=2 and prefetches 3..=2+degree; core 1
+        // (same cluster) evicts by prefetch, core 2 (other cluster) refills.
+        let mut buses = [sh.core_bus(0), sh.core_bus(1), sh.core_bus(2)];
+        let run = |mono: &mut CacheHierarchy, bus: &mut CoreBus, line: u64| {
+            let core = bus.core();
+            let t = mono.access(core, line * line_size, 8, AccessKind::Read);
+            assert_eq!(t, bus.access(core, line * line_size, 8, AccessKind::Read));
+        };
+        for line in 0..3 {
+            run(&mut mono, &mut buses[0], line);
         }
-        assert_eq!(t_mono, t_shard, "cost models diverged");
+        let by_stash = 2 + degree;
+        let by_prefetch = 1 + degree;
+        // Fill the stashed line's set through the stash port...
+        for k in 1..=ways {
+            mono.dma_write((by_stash + k * sets) * line_size, 8);
+            sh.dma_write((by_stash + k * sets) * line_size, 8);
+        }
+        // ...and the other line's set with core 1's trained prefetch runs.
+        for k in 1..=ways {
+            let base = by_prefetch + k * sets - 3;
+            for line in base..base + 3 {
+                run(&mut mono, &mut buses[1], line);
+            }
+        }
+        for line in [by_stash, by_prefetch] {
+            assert!(!mono.llc_contains(line * line_size), "line {line} evicted");
+            assert!(!sh.llc_contains(line * line_size), "line {line} evicted");
+        }
+        let before = mono.stats().prefetch_hits;
+        for line in [by_stash, by_prefetch] {
+            run(&mut mono, &mut buses[2], line); // demand refill from DRAM
+            run(&mut mono, &mut buses[0], line); // LLC hit on the refilled line
+        }
         let mut merged = sh.stats();
-        merged.absorb_core(&bus.stats());
-        let mono_stats = mono.stats();
-        assert_eq!(merged.l1_hits, mono_stats.l1_hits);
-        assert_eq!(merged.l2_hits, mono_stats.l2_hits);
-        assert_eq!(merged.llc_hits, mono_stats.llc_hits);
-        assert_eq!(merged.dram_accesses, mono_stats.dram_accesses);
+        for bus in &buses {
+            merged.absorb_core(&bus.stats());
+        }
+        assert_eq!(merged, mono.stats());
+        assert_eq!(mono.stats().prefetch_hits, before, "stale marks counted");
+        assert!(merged.prefetch_hits <= merged.prefetches_issued);
     }
 
     #[test]
