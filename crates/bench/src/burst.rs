@@ -574,7 +574,7 @@ pub fn loss_sweep(loss_rates: &[f64], messages: usize) -> Vec<LossRow> {
             let mut host = TwoChainsHost::new(&fabric, b, sweep_config(SHARDS)).expect("host");
             host.install_package(benchmark_package().expect("package"))
                 .expect("install");
-            // Before `connect`: endpoints capture the link's fault hook at
+            // Before `connect_fleet`: endpoints capture the link's fault hook at
             // creation time.
             if rate > 0.0 {
                 fabric

@@ -4,7 +4,7 @@
 //! The sender fleet registers one [`BankFlags`] credit table per stream in the
 //! *sender's* address space and ships its descriptor back to the receiver as a
 //! [`CreditHandshake`] — the reverse half of the connection setup that
-//! [`TwoChainsHost::sender_handshake`](super::TwoChainsHost::sender_handshake)
+//! [`TwoChainsHost::session_handshake`](super::TwoChainsHost::session_handshake)
 //! started. The receiver installs one [`CreditReturn`] per shard: a
 //! reverse-direction endpoint (receiver → sender) plus the cumulative per-slot
 //! drain counts that generate the token sequence.

@@ -767,30 +767,6 @@ impl SenderLane {
         Ok(sent)
     }
 
-    /// Deprecated loose-argument spelling of [`SenderLane::send_spec`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "construct the message with spec(elem).mode(..).args(..).usr(..) and \
-                send it with send_spec (see the migration notes in CHANGES.md)"
-    )]
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_to(
-        &mut self,
-        cq: &mut CompletionQueue,
-        bank: usize,
-        slot: usize,
-        elem: ElementId,
-        mode: InvocationMode,
-        args: &[u8],
-        usr: &[u8],
-    ) -> AmResult<AmSendOutcome> {
-        let spec = super::spec::spec(elem)
-            .mode(mode)
-            .args(args.to_vec())
-            .usr(usr.to_vec());
-        self.send_spec(cq, bank, slot, &spec)
-    }
-
     /// Fill every owned slot once (round `round`), returning this stream's
     /// delivery horizon — when its last frame became visible at the receiver.
     ///
@@ -866,28 +842,6 @@ impl FleetLane<'_> {
         self.lane.send_spec(self.completions, bank, slot, spec)
     }
 
-    /// Deprecated loose-argument spelling of [`FleetLane::send_spec`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "construct the message with spec(elem).mode(..).args(..).usr(..) and \
-                send it with send_spec (see the migration notes in CHANGES.md)"
-    )]
-    pub fn send_to(
-        &mut self,
-        bank: usize,
-        slot: usize,
-        elem: ElementId,
-        mode: InvocationMode,
-        args: &[u8],
-        usr: &[u8],
-    ) -> AmResult<AmSendOutcome> {
-        let spec = super::spec::spec(elem)
-            .mode(mode)
-            .args(args.to_vec())
-            .usr(usr.to_vec());
-        self.send_spec(bank, slot, &spec)
-    }
-
     /// Fill every owned slot once; see [`SenderLane::fill`].
     pub fn fill<F>(
         &mut self,
@@ -950,57 +904,6 @@ impl SenderFleet {
         // Per-entry harvest cost: the same software bookkeeping constant the
         // UCX-like baseline pays, taken from its single definition so a
         // retuned baseline can never silently diverge from the fleet.
-        let harvest_cost = CompletionQueue::ucx_default().harvest_cost();
-        Ok(SenderFleet {
-            completions: ShardedCompletions::new(lanes.len(), window, harvest_cost),
-            lanes,
-        })
-    }
-
-    /// Deprecated split-wiring spelling of [`SenderFleet::connect_fleet`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "connect with SenderFleet::connect_fleet — one exchange that cannot \
-                leave the session partially wired (see the migration notes in \
-                CHANGES.md)"
-    )]
-    #[allow(deprecated)]
-    pub fn connect(
-        fabric: &SimFabric,
-        src: HostId,
-        host: &mut TwoChainsHost,
-        package: Package,
-    ) -> AmResult<Self> {
-        let cfg = host.config();
-        let (streams, window) = (cfg.sender_streams, cfg.completion_window);
-        Self::connect_streams(fabric, src, host, package, streams, window)
-    }
-
-    /// Deprecated explicit-geometry connect. The one-sided credit path is
-    /// installed only when `streams` equals the host's shard count; other
-    /// stream counts connect **partially wired** (phased schedules only) —
-    /// the failure mode [`SenderFleet::connect_fleet`] exists to make
-    /// unrepresentable.
-    #[deprecated(
-        since = "0.2.0",
-        note = "connect with SenderFleet::connect_fleet — one exchange that cannot \
-                leave the session partially wired (see the migration notes in \
-                CHANGES.md)"
-    )]
-    pub fn connect_streams(
-        fabric: &SimFabric,
-        src: HostId,
-        host: &mut TwoChainsHost,
-        package: Package,
-        streams: usize,
-        window: usize,
-    ) -> AmResult<Self> {
-        let handshakes = host.stream_handshakes(streams)?;
-        let (lanes, credit_handshakes) =
-            Self::connect_inner(fabric, src, host, package, handshakes, window)?;
-        if streams == host.num_shards() {
-            host.install_credit_returns_inner(fabric, credit_handshakes)?;
-        }
         let harvest_cost = CompletionQueue::ucx_default().harvest_cost();
         Ok(SenderFleet {
             completions: ShardedCompletions::new(lanes.len(), window, harvest_cost),

@@ -39,7 +39,7 @@ use crate::builtin::BuiltinJam;
 use crate::config::{CreditFlushPolicy, ExecutionPolicy, InvocationMode, RuntimeConfig, SpaceMode};
 use crate::error::{AmError, AmResult};
 use crate::frame::{is_batch, BatchView, ChainArgMap, FrameView, FRAME_HEADER_SIZE};
-use crate::mailbox::MailboxTarget;
+use crate::mailbox::{MailboxTarget, ReactiveMailbox};
 use crate::stats::RuntimeStats;
 
 /// Software cost models for the receiver's injected-dispatch path, in ns per byte.
@@ -90,54 +90,52 @@ const CHAIN_CTX_BASE: u64 = 0x9E00_0000;
 /// Address stride between consecutive cores' chain-context cells.
 const CHAIN_CTX_STRIDE: u64 = 0x100;
 
-/// What the dispatch engine did with one occupied slot (internal: the public
-/// burst/single-slot wrappers translate it).
-#[derive(Debug)]
-enum SlotOutcome {
-    /// The frame was dispatched (and executed, unless execution is skipped).
-    Executed {
-        /// The frame's header sequence number, for the shard's gap watcher.
-        sn: u32,
-        outcome: ReceiveOutcome,
-    },
-    /// The frame was a duplicate or stale replay of a sequence number this
-    /// slot already executed: silently retired (slot cleared, credit
-    /// re-published idempotently, nothing executed). Only produced when the
-    /// shard's reliability layer is armed.
-    Replayed { sn: u32 },
-    /// The slot held a multi-frame batch container: every inner frame was
-    /// processed in order (executed, replay-suppressed, or rejected — each
-    /// against its *declared* destination slot) and the carrier mailbox was
-    /// cleared once. The caller folds each inner entry through the same
-    /// sequence-watch and credit bookkeeping a standalone frame gets. (The
-    /// container's own sequence number — its first inner frame's — needs no
-    /// slot here: every inner outcome carries its declared sn.)
-    Batch { frames: Vec<InnerOutcome> },
+/// Where the per-frame step reports each frame it retired. The receive entry
+/// points differ only in what they keep: a burst keeps every frame (its
+/// [`BurstOutcome`]), a single-slot receive only what it returns.
+trait RetireSink {
+    /// Frame (`bank`, `slot`) executed; `slot` is its declared destination.
+    fn frame_executed(&mut self, bank: usize, slot: usize, outcome: ReceiveOutcome);
+    /// Frame (`bank`, `slot`) was rejected and retired without executing.
+    fn frame_rejected(&mut self, bank: usize, slot: usize, err: AmError);
 }
 
-/// What the dispatch engine did with one inner frame of a batch container.
-/// Mirrors the single-slot outcomes, tagged with the frame's declared
-/// destination slot — the slot whose flow-control credit it retires.
-#[derive(Debug)]
-enum InnerOutcome {
-    Executed {
-        slot: usize,
-        sn: u32,
-        outcome: ReceiveOutcome,
-    },
-    Replayed {
-        slot: usize,
-        sn: u32,
-    },
-    Rejected {
-        slot: usize,
-        err: AmError,
-    },
+impl RetireSink for BurstOutcome {
+    fn frame_executed(&mut self, bank: usize, slot: usize, outcome: ReceiveOutcome) {
+        self.frames.push(BurstFrame {
+            bank,
+            slot,
+            outcome,
+        });
+    }
+
+    fn frame_rejected(&mut self, bank: usize, slot: usize, err: AmError) {
+        self.rejected.push((bank, slot, err));
+    }
+}
+
+/// The single-slot receive's sink: the last executed frame's outcome (for a
+/// container, its `handler_done` is when the whole container finished on the
+/// drain core) and the first rejection, reported when nothing executed.
+#[derive(Default)]
+struct SlotSink {
+    last: Option<ReceiveOutcome>,
+    first_err: Option<AmError>,
+}
+
+impl RetireSink for SlotSink {
+    fn frame_executed(&mut self, _bank: usize, _slot: usize, outcome: ReceiveOutcome) {
+        self.last = Some(outcome);
+    }
+
+    fn frame_rejected(&mut self, _bank: usize, _slot: usize, err: AmError) {
+        self.first_err.get_or_insert(err);
+    }
 }
 
 /// The dispatch core's answer for one parsed frame (single or batched):
-/// everything `receive_frame`/the batch loop needs to account the frame and
-/// build its [`ReceiveOutcome`].
+/// everything the per-frame step needs to account the frame and build its
+/// [`ReceiveOutcome`].
 #[derive(Debug)]
 struct DispatchedFrame {
     handler_time: SimTime,
@@ -146,16 +144,13 @@ struct DispatchedFrame {
     exec_stats: Option<ExecStats>,
 }
 
-/// How the wait preceding a frame's processing is charged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WaitCharge {
-    /// The receiver waited on this mailbox's signal byte (the single-slot
-    /// `receive` path): charge the full wait model for `arrival - ready_since`.
-    Signal,
-    /// Readiness was observed by a burst scan that already charged its (single)
-    /// poll: charge no per-frame wait.
-    Scanned,
-}
+/// The wait charged to a frame a burst scan found ready (the scan charged one
+/// poll for all of them) and to an inner frame of a container (the container
+/// charged its one wait).
+const NO_WAIT: WaitOutcome = WaitOutcome {
+    elapsed: SimTime::ZERO,
+    cycles: 0,
+};
 
 /// One entry of the Local Function library: the program as loaded from the package,
 /// its GOT resolved against this process's namespace, and the address at which the
@@ -628,8 +623,7 @@ impl TwoChainsHost {
             missing.push(format!(
                 "sender_streams ({}) != num_shards ({shards}): the session's one-sided \
                  credit and NACK paths need the closed stream<->shard pairing \
-                 (configure with with_sender_streams({shards}) or connect with the \
-                 deprecated partial-wiring paths)",
+                 (configure with with_sender_streams({shards}))",
                 self.core.config.sender_streams
             ));
         }
@@ -700,17 +694,6 @@ impl TwoChainsHost {
                 })
             })
             .collect()
-    }
-
-    /// Deprecated spelling of the forward half-exchange.
-    #[deprecated(
-        since = "0.2.0",
-        note = "export the whole session with session_handshake() and connect with \
-                SenderFleet::connect_fleet — the split handshake can leave the \
-                session partially wired (see the migration notes in CHANGES.md)"
-    )]
-    pub fn sender_handshake(&self, streams: usize) -> AmResult<Vec<super::StreamHandshake>> {
-        self.stream_handshakes(streams)
     }
 
     /// Install the reverse half of the fleet connection: the one-sided
@@ -807,21 +790,6 @@ impl TwoChainsHost {
         Ok(())
     }
 
-    /// Deprecated spelling of the reverse half-exchange.
-    #[deprecated(
-        since = "0.2.0",
-        note = "connect with SenderFleet::connect_fleet, which installs the credit \
-                returns as part of the one session exchange (see the migration \
-                notes in CHANGES.md)"
-    )]
-    pub fn install_credit_returns(
-        &mut self,
-        fabric: &SimFabric,
-        handshakes: Vec<CreditHandshake>,
-    ) -> AmResult<()> {
-        self.install_credit_returns_inner(fabric, handshakes)
-    }
-
     /// Whether every shard has its one-sided credit-return path installed
     /// (the precondition for [`drive_pipeline`](super::drive_pipeline)).
     pub fn credit_path_installed(&self) -> bool {
@@ -830,9 +798,10 @@ impl TwoChainsHost {
 
     /// The sender-side table descriptor shard `shard`'s credit return targets
     /// (`None` when not installed). `drive_pipeline` checks these against the
-    /// fleet it was handed: a later `connect` replaces the credit returns, so
-    /// driving an *earlier* fleet would put every token into another fleet's
-    /// tables and spin forever — the identity check turns that into an error.
+    /// fleet it was handed: a later `connect_fleet` replaces the credit
+    /// returns, so driving an *earlier* fleet would put every token into
+    /// another fleet's tables and spin forever — the identity check turns
+    /// that into an error.
     pub(crate) fn credit_descriptor(
         &self,
         shard: usize,
@@ -908,10 +877,20 @@ impl TwoChainsHost {
 
     /// Process the message sitting in mailbox (`bank`, `slot`).
     ///
-    /// This is the single-frame case of the burst engine: the frame is waited for
-    /// under the configured wait model, then dispatched through exactly the same
-    /// per-shard path [`TwoChainsHost::receive_burst`] uses (the request is routed
-    /// to the shard owning `bank`, so its counters land in that shard's stats).
+    /// This is the one-slot case of [`TwoChainsHost::receive_burst`]: the slot
+    /// runs through the same slot step and per-frame retire a burst scan runs
+    /// for each ready slot, and leaves through the same abort-safe credit
+    /// flush. Only the slot source differs — named here, not scanned — and
+    /// the frame is charged the configured wait model instead of a scan's one
+    /// poll. The request is routed to the shard owning `bank`, so its
+    /// counters land in that shard's stats.
+    ///
+    /// Returns the executed frame's outcome (for a batch container, the last
+    /// executed inner frame's). A rejected frame is retired — slot cleared,
+    /// counted in `frames_rejected`, credit returned — and its error returned;
+    /// an empty slot or a suppressed replay returns [`AmError::Empty`]. A
+    /// credit-put failure is returned, never swallowed, even in place of a
+    /// rejection's own error.
     ///
     /// * `arrival` — when the frame's signal byte became visible (from the sender's
     ///   [`AmSendOutcome::delivered`](super::AmSendOutcome::delivered)).
@@ -927,7 +906,7 @@ impl TwoChainsHost {
         ready_since: SimTime,
     ) -> AmResult<ReceiveOutcome> {
         let shard_idx = crate::bank::ShardMask::owner_of(bank, self.shards.len());
-        self.core.receive_owned(
+        self.core.receive(
             &mut self.shards[shard_idx],
             bank,
             slot,
@@ -991,12 +970,13 @@ impl HostCore {
     /// actually posts, advancing `clock` to the puts' `sender_free`.
     ///
     /// A failure here is an invariant break, not a routine condition:
-    /// [`TwoChainsHost::install_credit_returns`] vets the table's geometry,
-    /// writability and disjointness up front, so the only ways a drain-time
-    /// credit put can fail are things like a region deregistered mid-flight.
-    /// Callers propagate it (even at the cost of dropping a burst's
-    /// already-executed outcomes) — losing a credit silently would wedge the
-    /// paired lane with no trace, which is strictly worse.
+    /// [`SenderFleet::connect_fleet`](super::SenderFleet::connect_fleet)
+    /// vets the table's geometry, writability and disjointness up front, so
+    /// the only ways a drain-time credit put can fail are things like a
+    /// region deregistered mid-flight. Callers propagate it (even at the cost
+    /// of dropping already-executed outcomes or a rejection's own error) —
+    /// losing a credit silently would wedge the paired lane with no trace,
+    /// which is strictly worse.
     fn return_credit(
         &self,
         shard: &mut ReceiverShard,
@@ -1120,20 +1100,16 @@ impl HostCore {
         Ok(())
     }
 
-    /// Single-slot receive through `shard`, charging the wait model. The
-    /// slot's credit is returned once the frame retired (see
-    /// [`HostCore::return_credit`]) and the pending set is flushed before the
-    /// call returns — a single-slot receive is a scan of one, so its token is
-    /// never left withheld. The credit posting cost is charged to the shard's
-    /// counters but not folded into the returned outcome's handler time — it
-    /// belongs to the drain core's next activity, exactly like the burst
-    /// path's clock advance.
-    ///
-    /// Like the burst engine (this is its single-frame case), a frame the
-    /// dispatch *rejects* is still retired: the slot is cleared, counted in
-    /// `frames_rejected`, and its credit returned — then the error surfaces.
-    /// An [`AmError::Empty`] poll (no frame present) retires nothing.
-    pub(crate) fn receive_owned(
+    /// Single-slot receive through `shard` (the contract is on
+    /// [`TwoChainsHost::receive`]): the burst's slot step on one named slot,
+    /// with the wait model charged for `arrival - ready_since`, left through
+    /// the same exit flush. The credit posting cost is charged to the
+    /// shard's counters but not folded into the returned outcome's handler
+    /// time — it belongs to the drain core's next activity, exactly like the
+    /// burst path's clock advance. A duplicate must be observationally
+    /// invisible, so a pure replay returns [`AmError::Empty`], like an empty
+    /// slot. A single-slot receive closes no gap-watch scan.
+    pub(crate) fn receive(
         &self,
         shard: &mut ReceiverShard,
         bank: usize,
@@ -1142,102 +1118,28 @@ impl HostCore {
         arrival: SimTime,
         ready_since: SimTime,
     ) -> AmResult<ReceiveOutcome> {
-        let outcome = match self.receive_slot(
-            shard,
-            bank,
-            slot,
-            frame_len,
-            arrival,
-            ready_since,
-            WaitCharge::Signal,
-        ) {
-            Ok(SlotOutcome::Executed { sn, outcome }) => {
-                Self::note_sequence(shard, sn);
-                outcome
-            }
-            Ok(SlotOutcome::Replayed { sn }) => {
-                // A suppressed replay retires silently: its slot was cleared,
-                // its credit is re-published idempotently, and the caller sees
-                // the same `Empty` an unoccupied slot produces — a duplicate
-                // must be observationally invisible.
-                Self::note_sequence(shard, sn);
-                let mut clock = arrival;
-                Self::return_replay_credit(shard, &mut clock, bank, slot)?;
-                return Err(AmError::Empty);
-            }
-            Ok(SlotOutcome::Batch { frames }) => {
-                // A container retires every inner frame in one call. The
-                // single-outcome contract hands back the *last executed*
-                // frame's outcome — its `handler_done` is when the whole
-                // batch finished on the drain core. If nothing executed the
-                // caller sees the first inner rejection, or `Empty` when the
-                // container was a pure replay.
-                let mut clock = arrival;
-                let mut last_outcome = None;
-                let mut first_err = None;
-                for entry in frames {
-                    match entry {
-                        InnerOutcome::Executed { slot, sn, outcome } => {
-                            Self::note_sequence(shard, sn);
-                            clock = outcome.handler_done;
-                            self.return_credit(shard, &mut clock, bank, slot)?;
-                            last_outcome = Some(outcome);
-                        }
-                        InnerOutcome::Replayed { slot, sn } => {
-                            Self::note_sequence(shard, sn);
-                            Self::return_replay_credit(shard, &mut clock, bank, slot)?;
-                        }
-                        InnerOutcome::Rejected { slot, err } => {
-                            shard.stats.frames_rejected += 1;
-                            if first_err.is_none() {
-                                first_err = Some(err);
-                            }
-                            self.return_credit(shard, &mut clock, bank, slot)?;
-                        }
-                    }
-                }
-                Self::flush_credits(shard, &mut clock)?;
-                return match last_outcome {
-                    Some(outcome) => Ok(outcome),
-                    None => Err(first_err.unwrap_or(AmError::Empty)),
-                };
-            }
-            Err(AmError::Empty) => return Err(AmError::Empty),
-            Err(err) => {
-                // The slot held something the dispatch rejected (malformed
-                // header, policy violation, unknown element, ...): free it so
-                // the bank cannot wedge. Without a trustworthy length,
-                // clearing the header magic alone makes the slot poll empty
-                // again (the same gate the quarantine path clears).
-                if let Ok(mailbox) = self.banks.mailbox(bank, slot) {
-                    let _ = mailbox.clear(frame_len.unwrap_or(FRAME_HEADER_SIZE));
-                    shard.stats.frames_rejected += 1;
-                    let mut clock = arrival;
-                    // The dispatch error is the caller's answer; a credit-put
-                    // failure on top of it would only mask the root cause.
-                    // The abort-safe flush still runs — the rejected frame's
-                    // token must not stay withheld behind the error.
-                    let _ = self.return_credit(shard, &mut clock, bank, slot);
-                    let _ = Self::flush_credits(shard, &mut clock);
-                }
-                return Err(err);
-            }
-        };
-        let mut clock = outcome.handler_done;
-        self.return_credit(shard, &mut clock, bank, slot)?;
-        Self::flush_credits(shard, &mut clock)?;
-        Ok(outcome)
+        let wait_dur = arrival.saturating_sub(ready_since);
+        let wait = self.config.wait_model.wait(self.config.wait_mode, wait_dur);
+        let mut sink = SlotSink::default();
+        let mut clock = arrival;
+        Self::flushing(shard, &mut clock, |shard, clock| {
+            self.drain_slot(
+                shard,
+                bank,
+                slot,
+                frame_len,
+                ready_since,
+                wait,
+                clock,
+                &mut sink,
+            )
+        })?;
+        let SlotSink { last, first_err } = sink;
+        last.ok_or_else(|| first_err.unwrap_or(AmError::Empty))
     }
 
     /// One-scan burst drain of the banks `shard` owns (see
     /// [`TwoChainsHost::receive_burst`]).
-    ///
-    /// Every exit — drained, empty scan, or a propagated dispatch/credit
-    /// error — runs the idle/abort credit flush, so a token accumulated for
-    /// any retired frame is published before control leaves the burst engine:
-    /// an aborted burst may drop its already-executed outcomes, but never a
-    /// credit. On an error the original error takes precedence over any
-    /// flush failure.
     pub(crate) fn receive_burst(
         &self,
         shard: &mut ReceiverShard,
@@ -1245,18 +1147,37 @@ impl HostCore {
         now: SimTime,
     ) -> AmResult<BurstOutcome> {
         let mut clock = now;
-        let result = self.receive_burst_inner(shard, max_frames, &mut clock);
-        let flushed = Self::flush_credits(shard, &mut clock);
-        let mut outcome = result?;
-        flushed?;
-        outcome.drained_at = clock;
-        Ok(outcome)
+        let mut burst = Self::flushing(shard, &mut clock, |shard, clock| {
+            self.scan(shard, max_frames, clock)
+        })?;
+        burst.drained_at = clock;
+        Ok(burst)
     }
 
-    /// The burst scan proper: poll, quarantine, dispatch, retire. `clock`
-    /// tracks drain-virtual time even across an error return, so the caller's
-    /// abort-safe flush charges its posting at the right instant.
-    fn receive_burst_inner(
+    /// The abort-safe exit both receive entry points leave through: run
+    /// `body` on the drain clock, then run the idle/abort credit flush
+    /// whatever `body` returned, so a token minted for any retired frame is
+    /// published before control leaves the engine — an aborted receive may
+    /// drop its already-executed outcomes, but never a credit. On an error
+    /// the original error takes precedence over any flush failure; a flush
+    /// failure on its own is returned, never swallowed.
+    fn flushing<T>(
+        shard: &mut ReceiverShard,
+        clock: &mut SimTime,
+        body: impl FnOnce(&mut ReceiverShard, &mut SimTime) -> AmResult<T>,
+    ) -> AmResult<T> {
+        let result = body(shard, clock);
+        let flushed = Self::flush_credits(shard, clock);
+        let out = result?;
+        flushed?;
+        Ok(out)
+    }
+
+    /// The burst scan proper: poll, quarantine, then the slot step for every
+    /// ready slot. `clock` tracks drain-virtual time even across an error
+    /// return, so the caller's abort-safe flush charges its posting at the
+    /// right instant.
+    fn scan(
         &self,
         shard: &mut ReceiverShard,
         max_frames: usize,
@@ -1266,7 +1187,7 @@ impl HostCore {
         // poisoned slots (header magic set but an out-of-range declared length)
         // quarantined on the spot — a burst-only receiver would otherwise never
         // reclaim them.
-        let (ready, mut rejected) = self.banks.scan_burst(shard.mask(), max_frames);
+        let (ready, rejected) = self.banks.scan_burst(shard.mask(), max_frames);
         // Quarantined poisoned slots are counted in the shard's stats (and so
         // survive the host-wide merge) as well as reported per burst.
         shard.stats.poisoned_quarantined += rejected.len() as u64;
@@ -1287,222 +1208,270 @@ impl HostCore {
         for (bank, slot, _) in &rejected {
             self.return_credit(shard, clock, *bank, *slot)?;
         }
-        let mut frames = Vec::with_capacity(ready.len());
+        let mut burst = BurstOutcome {
+            frames: Vec::with_capacity(ready.len()),
+            rejected,
+            // Stamped by the caller, after the exit flush.
+            drained_at: SimTime::ZERO,
+        };
         for (bank, slot, frame_len) in ready {
-            match self.receive_slot(
+            let ready_since = *clock;
+            self.drain_slot(
                 shard,
                 bank,
                 slot,
                 Some(frame_len),
-                *clock,
-                *clock,
-                WaitCharge::Scanned,
-            ) {
-                Ok(SlotOutcome::Executed { sn, outcome }) => {
-                    Self::note_sequence(shard, sn);
-                    *clock = outcome.handler_done;
-                    frames.push(BurstFrame {
-                        bank,
-                        slot,
-                        outcome,
-                    });
-                    // One credit token per retired frame, minted the moment
-                    // the slot is clear again, on the drain core's clock.
-                    self.return_credit(shard, clock, bank, slot)?;
-                }
-                Ok(SlotOutcome::Replayed { sn }) => {
-                    // A suppressed replay is invisible to the burst outcome
-                    // (neither drained nor rejected): the duplicate's slot was
-                    // cleared and its credit re-published idempotently, so it
-                    // cannot leak a slot or double-execute.
-                    Self::note_sequence(shard, sn);
-                    Self::return_replay_credit(shard, clock, bank, slot)?;
-                }
-                Ok(SlotOutcome::Batch { frames: inner }) => {
-                    // One container, N frames: each inner entry runs the exact
-                    // per-frame bookkeeping a standalone slot gets — its own
-                    // gap-watch note, its own credit token, its own rejection
-                    // record — against its declared destination slot. The
-                    // carrier mailbox was already cleared by the unbatcher.
-                    for entry in inner {
-                        match entry {
-                            InnerOutcome::Executed { slot, sn, outcome } => {
-                                Self::note_sequence(shard, sn);
-                                *clock = outcome.handler_done;
-                                frames.push(BurstFrame {
-                                    bank,
-                                    slot,
-                                    outcome,
-                                });
-                                self.return_credit(shard, clock, bank, slot)?;
-                            }
-                            InnerOutcome::Replayed { slot, sn } => {
-                                Self::note_sequence(shard, sn);
-                                Self::return_replay_credit(shard, clock, bank, slot)?;
-                            }
-                            InnerOutcome::Rejected { slot, err } => {
-                                shard.stats.frames_rejected += 1;
-                                rejected.push((bank, slot, err));
-                                self.return_credit(shard, clock, bank, slot)?;
-                            }
-                        }
-                    }
-                }
-                Err(err) => {
-                    // A frame the dispatch rejects must still free its slot, or the
-                    // bank would never earn its flow-control credit back.
-                    if let Ok(mailbox) = self.banks.mailbox(bank, slot) {
-                        let _ = mailbox.clear(frame_len);
-                    }
-                    shard.stats.frames_rejected += 1;
-                    rejected.push((bank, slot, err));
-                    self.return_credit(shard, clock, bank, slot)?;
-                }
-            }
+                ready_since,
+                NO_WAIT,
+                clock,
+                &mut burst,
+            )?;
         }
         // The scan is complete: age the gap watcher and report anything that
         // has now outlived the scan-jumble horizon.
         Self::post_due_nacks(shard, clock)?;
-        Ok(BurstOutcome {
-            frames,
-            rejected,
-            drained_at: *clock,
-        })
+        Ok(burst)
     }
 
-    /// The dispatch engine: wait (per `charge`), poll, parse, resolve through the
-    /// shared caches, execute, clear the slot, account.
+    /// The slot step both entry points run: take the frame out of mailbox
+    /// (`bank`, `slot`) and hand each frame it holds — one standalone frame,
+    /// or every inner frame of a container — to [`HostCore::step_frame`].
+    /// An empty slot retires nothing and leaves `clock` alone. Otherwise the
+    /// drain clock moves to the detection instant, `ready_since + wait` plus
+    /// scheduler jitter, and on through every frame the slot retires.
     #[allow(clippy::too_many_arguments)]
-    fn receive_slot(
+    fn drain_slot(
         &self,
         shard: &mut ReceiverShard,
         bank: usize,
         slot: usize,
         frame_len: Option<usize>,
-        arrival: SimTime,
         ready_since: SimTime,
-        charge: WaitCharge,
-    ) -> AmResult<SlotOutcome> {
-        // Disjoint field borrows: the shared cache, the stats, the scratch
-        // buffer (which the FrameView borrows), the per-core bus, the
-        // shard-local space and the replay filter are separate fields of the
-        // shard.
+        wait: WaitOutcome,
+        clock: &mut SimTime,
+        sink: &mut impl RetireSink,
+    ) -> AmResult<()> {
+        let mailbox = self.banks.mailbox(bank, slot)?;
+        // `stressed()` is one atomic load; the stressor lock is only taken when
+        // a stressor is actually attached.
+        let jitter = self.hierarchy.scheduler_jitter();
+        let taken = Self::take_frame(mailbox, frame_len, &mut shard.scratch);
+        if let Ok(false) = taken {
+            return Ok(());
+        }
+        *clock = ready_since + wait.elapsed + jitter;
+        // The frames are parsed by borrow from the shard's scratch buffer,
+        // moved out meanwhile so the steps below can borrow the whole shard.
+        let scratch = std::mem::take(&mut shard.scratch);
+        let base = mailbox.base_addr();
+        let stepped = match taken {
+            Ok(_) if is_batch(&scratch) => {
+                self.drain_container(shard, bank, slot, &scratch, base, wait, clock, sink)
+            }
+            Ok(_) => {
+                let frame = FrameView::parse(&scratch);
+                self.step_frame(shard, bank, slot, frame, base, Some(wait), clock, sink)
+            }
+            Err(err) => {
+                // The slot held something unreadable (an out-of-range
+                // length, ...): free it so the bank cannot wedge. Without a
+                // trustworthy length, clearing the header magic alone makes
+                // the slot poll empty again (the same gate the quarantine
+                // path clears).
+                let _ = mailbox.clear(frame_len.unwrap_or(FRAME_HEADER_SIZE));
+                self.step_frame(shard, bank, slot, Err(err), base, Some(wait), clock, sink)
+            }
+        };
+        shard.scratch = scratch;
+        stepped
+    }
+
+    /// Poll `mailbox` for a complete frame of `frame_len` bytes (or by the
+    /// variable-frame two-step protocol for `None`), copy it into `scratch`
+    /// and clear the slot at once. Everything after works on the copy, so a
+    /// frame's credit can go back the moment the frame retires — for a
+    /// container, before its later inner frames run. `Ok(false)`: the slot
+    /// is empty.
+    fn take_frame(
+        mailbox: &ReactiveMailbox,
+        frame_len: Option<usize>,
+        scratch: &mut Vec<u8>,
+    ) -> AmResult<bool> {
+        let len = match frame_len {
+            Some(len) => mailbox.poll_fixed(len)?.then_some(len),
+            None => mailbox.poll_variable()?,
+        };
+        if let Some(len) = len {
+            mailbox.read_frame_into(len, scratch)?;
+            mailbox.clear(len)?;
+        }
+        Ok(len.is_some())
+    }
+
+    /// Unbatch one multi-frame container taken from the `carrier` slot of
+    /// `bank`: one readiness check, one wait and one header-read prologue
+    /// amortized over all inner frames, then each inner frame through the
+    /// same step a standalone frame takes — replay-filtered, executed,
+    /// accounted and retired against its *declared* destination slot (the
+    /// slot whose flow-control credit the sender consumed for it). The
+    /// declared slots were never written; the carrier is already clear. A
+    /// retransmitted container re-executes nothing — every inner frame hits
+    /// its slot's replay filter.
+    #[allow(clippy::too_many_arguments)]
+    fn drain_container(
+        &self,
+        shard: &mut ReceiverShard,
+        bank: usize,
+        carrier: usize,
+        container: &[u8],
+        base: u64,
+        wait: WaitOutcome,
+        clock: &mut SimTime,
+        sink: &mut impl RetireSink,
+    ) -> AmResult<()> {
+        let view = match BatchView::parse(container) {
+            Ok(view) => view,
+            Err(err) => {
+                return self.step_frame(
+                    shard,
+                    bank,
+                    carrier,
+                    Err(err),
+                    base,
+                    Some(wait),
+                    clock,
+                    sink,
+                )
+            }
+        };
+        // One container-header read is the whole prologue: inner headers are
+        // still read per frame (that work is real), but readiness was
+        // checked once and the outer parse validated the whole envelope.
+        let prologue = shard
+            .bus
+            .access(shard.core, base, FRAME_HEADER_SIZE, AccessKind::Read);
+        let stats = &mut shard.stats;
+        stats.batches_received += 1;
+        stats.exec_time += prologue;
+        stats.wait_time += wait.elapsed;
+        stats.cycles.add_wait(wait.cycles);
+        stats
+            .cycles
+            .add_work_time(prologue, self.config.wait_model.core_freq_ghz);
+        *clock += prologue;
+        for (ix, &(dest, bytes)) in view.frames().iter().enumerate() {
+            // The inner frame's bytes live inside the carrier slot's memory,
+            // so its charged addresses are carrier-relative.
+            let offset = bytes.as_ptr() as usize - container.as_ptr() as usize;
+            let frame = FrameView::parse(bytes)
+                .map_err(|err| AmError::BadFrame(format!("batch inner frame {ix}: {err}")));
+            let inner_base = base + offset as u64;
+            self.step_frame(
+                shard,
+                bank,
+                dest as usize,
+                frame,
+                inner_base,
+                None,
+                clock,
+                sink,
+            )?;
+        }
+        Ok(())
+    }
+
+    /// The one per-frame step, for a standalone frame and for each inner
+    /// frame of a container alike: replay check, dispatch and accounting
+    /// ([`HostCore::run_frame`]), then the frame retires at once, on the
+    /// drain clock. An executed frame gets its gap-watch note and a fresh
+    /// credit; a suppressed replay its note and an idempotent replay credit;
+    /// a rejected frame (an unparseable one arrives here as `Err`) is counted
+    /// in `frames_rejected` and gets a fresh credit. `slot` is the slot whose
+    /// credit the frame retires; `wait` is a standalone frame's own mailbox
+    /// wait, `None` for an inner frame (its container charged one wait for
+    /// all of them).
+    #[allow(clippy::too_many_arguments)]
+    fn step_frame(
+        &self,
+        shard: &mut ReceiverShard,
+        bank: usize,
+        slot: usize,
+        frame: AmResult<FrameView<'_>>,
+        base_addr: u64,
+        wait: Option<WaitOutcome>,
+        clock: &mut SimTime,
+        sink: &mut impl RetireSink,
+    ) -> AmResult<()> {
+        let ran = frame.and_then(|frame| {
+            let outcome = self.run_frame(shard, bank, slot, &frame, base_addr, wait, *clock)?;
+            Ok((frame.header.sn, outcome))
+        });
+        match ran {
+            Ok((sn, outcome)) => {
+                Self::note_sequence(shard, sn);
+                let Some(outcome) = outcome else {
+                    // A suppressed replay is neither executed nor rejected:
+                    // its credit is re-published idempotently, so it can
+                    // neither leak the slot nor mint a second token.
+                    return Self::return_replay_credit(shard, clock, bank, slot);
+                };
+                *clock = outcome.handler_done;
+                sink.frame_executed(bank, slot, outcome);
+            }
+            Err(err) => {
+                shard.stats.frames_rejected += 1;
+                sink.frame_rejected(bank, slot, err);
+            }
+        }
+        // One credit token per retired frame, minted the moment it retires,
+        // on the drain core's clock: a later frame of the same container
+        // starts after the posting, never overlapping it.
+        self.return_credit(shard, clock, bank, slot)
+    }
+
+    /// Replay-check, dispatch and account one parsed frame that starts at
+    /// `start` on the drain clock, returning its outcome — or `None` for a
+    /// suppressed replay.
+    #[allow(clippy::too_many_arguments)]
+    fn run_frame(
+        &self,
+        shard: &mut ReceiverShard,
+        bank: usize,
+        slot: usize,
+        frame: &FrameView<'_>,
+        base_addr: u64,
+        wait: Option<WaitOutcome>,
+        start: SimTime,
+    ) -> AmResult<Option<ReceiveOutcome>> {
+        // Disjoint field borrows: the shared cache, the stats, the per-core
+        // bus, the shard-local space and the replay filter are separate
+        // fields of the shard.
         let ReceiverShard {
             core,
             bus,
-            space: shard_space,
+            space,
             cache,
-            scratch,
             stats,
             credit,
             replay,
             num_shards,
             ..
         } = shard;
-        // The replay filter is armed only when this shard's stream handshake
-        // carried a NACK table: legacy flows (no reliability layer) keep their
-        // exact pre-reliability semantics, including re-executing a slot a
-        // test refills with the same sequence number. The whole filter is
-        // handed down (not one slot's entry): a batch container retires inner
-        // frames against several declared slots of the bank.
-        let replay = if credit.as_ref().is_some_and(|c| c.nack_armed()) {
-            Some((&mut *replay, *num_shards))
-        } else {
-            None
-        };
-        self.receive_frame(
-            cache,
-            stats,
-            scratch,
-            *core,
-            bus,
-            shard_space,
-            replay,
-            bank,
-            slot,
-            frame_len,
-            arrival,
-            ready_since,
-            charge,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn receive_frame(
-        &self,
-        cache: &InjectionCache,
-        stats: &mut RuntimeStats,
-        scratch: &mut Vec<u8>,
-        core: usize,
-        bus: &mut CoreBus,
-        shard_space: &mut ShardSpace,
-        replay: Option<(&mut Vec<u32>, usize)>,
-        bank: usize,
-        slot: usize,
-        frame_len: Option<usize>,
-        arrival: SimTime,
-        ready_since: SimTime,
-        charge: WaitCharge,
-    ) -> AmResult<SlotOutcome> {
-        let mailbox = self.banks.mailbox(bank, slot)?.clone();
-
-        // 1. Wait for the signal byte (or inherit the burst scan's observation).
-        let wait = match charge {
-            WaitCharge::Signal => {
-                let wait_dur = arrival.saturating_sub(ready_since);
-                self.config.wait_model.wait(self.config.wait_mode, wait_dur)
-            }
-            WaitCharge::Scanned => WaitOutcome {
-                elapsed: SimTime::ZERO,
-                cycles: 0,
-            },
-        };
-        // `stressed()` is one atomic load; the stressor lock is only taken when
-        // a stressor is actually attached.
-        let jitter = self.hierarchy.scheduler_jitter();
-        let detected_at = ready_since + wait.elapsed + jitter;
-
-        // Functional check + frame length discovery.
-        let frame_len = match frame_len {
-            Some(len) => {
-                if !mailbox.poll_fixed(len)? {
-                    return Err(AmError::Empty);
-                }
-                len
-            }
-            None => mailbox.poll_variable()?.ok_or(AmError::Empty)?,
-        };
-        mailbox.read_frame_into(frame_len, scratch)?;
-        if is_batch(scratch) {
-            return self.receive_batch(
-                cache,
-                stats,
-                scratch,
-                core,
-                bus,
-                shard_space,
-                replay,
-                bank,
-                &mailbox,
-                frame_len,
-                detected_at,
-                wait,
-            );
-        }
-        let frame = FrameView::parse(scratch)?;
-
-        // Idempotent replay suppression (armed flows only): a frame whose
-        // sequence number is not strictly newer than the last one executed
-        // from this slot is a duplicate delivery or a stale retransmit — the
-        // original already executed and was credited, so the copy is retired
-        // silently (slot cleared, no dispatch, no stats that would diverge
-        // from the lossless run). `0` is the never-executed sentinel; the
-        // sender's sequence space starts at 1, so it cannot collide.
+        // Idempotent replay suppression, armed only when this shard's stream
+        // handshake carried a NACK table (legacy flows keep their exact
+        // pre-reliability semantics, including re-executing a slot a test
+        // refills with the same sequence number). A frame whose sequence
+        // number is not strictly newer than the last one executed from its
+        // slot is a duplicate delivery or a stale retransmit — the original
+        // already executed and was credited, so the copy is retired
+        // silently: no dispatch, no stats that would diverge from the
+        // lossless run. `0` is the never-executed sentinel; the sender's
+        // sequence space starts at 1, so it cannot collide.
         let sn = frame.header.sn;
-        let last_sn = replay.map(|(filter, num_shards)| {
+        let last_sn = credit.as_ref().is_some_and(|c| c.nack_armed()).then(|| {
             Self::replay_entry(
-                filter,
-                num_shards,
+                replay,
+                *num_shards,
                 self.config.mailboxes_per_bank,
                 bank,
                 slot,
@@ -1510,27 +1479,18 @@ impl HostCore {
         });
         if let Some(last) = &last_sn {
             if **last != 0 && !super::shard::sn_newer(sn, **last) {
-                mailbox.clear(frame_len)?;
                 stats.replays_suppressed += 1;
-                return Ok(SlotOutcome::Replayed { sn });
+                return Ok(None);
             }
         }
-
-        let dispatched = self.dispatch_frame(
-            cache,
-            stats,
-            core,
-            bus,
-            shard_space,
-            &frame,
-            mailbox.base_addr(),
-        )?;
-
-        // 6. Reset the mailbox for reuse.
-        mailbox.clear(frame_len)?;
-
-        let handler_done = detected_at + dispatched.handler_time;
+        let dispatched = self.dispatch_frame(cache, stats, *core, bus, space, frame, base_addr)?;
+        if let Some(last) = last_sn {
+            *last = sn;
+        }
         stats.messages_received += 1;
+        // An inner frame's wait was charged once, with its container's prologue.
+        stats.batch_frames_received += u64::from(wait.is_none());
+        let wait = wait.unwrap_or(NO_WAIT);
         stats.wait_time += wait.elapsed;
         stats.exec_time += dispatched.handler_time;
         stats.cycles.add_wait(wait.cycles);
@@ -1538,22 +1498,15 @@ impl HostCore {
             dispatched.handler_time,
             self.config.wait_model.core_freq_ghz,
         );
-
-        if let Some(last) = last_sn {
-            *last = sn;
-        }
-        Ok(SlotOutcome::Executed {
-            sn,
-            outcome: ReceiveOutcome {
-                detected_at,
-                handler_done,
-                wait,
-                exec: dispatched.exec_stats,
-                result: dispatched.result,
-                handler_time: dispatched.handler_time,
-                dispatch_time: dispatched.handler_time - dispatched.exec_time,
-            },
-        })
+        Ok(Some(ReceiveOutcome {
+            detected_at: start,
+            handler_done: start + dispatched.handler_time,
+            wait,
+            exec: dispatched.exec_stats,
+            result: dispatched.result,
+            handler_time: dispatched.handler_time,
+            dispatch_time: dispatched.handler_time - dispatched.exec_time,
+        }))
     }
 
     /// The replay-filter entry guarding mailbox (`bank`, `slot`), growing the
@@ -1574,128 +1527,13 @@ impl HostCore {
         &mut filter[idx]
     }
 
-    /// Unbatch one multi-frame container sitting in the carrier mailbox of
-    /// `bank`: one readiness check and one parse prologue amortized over all
-    /// inner frames, then each inner frame dispatched back-to-back through
-    /// the same engine a standalone frame uses — replay-filtered, executed,
-    /// and accounted against its *declared* destination slot (the slot whose
-    /// flow-control credit the sender consumed for it). Only the carrier
-    /// mailbox is cleared: the declared slots were never written, their
-    /// tokens simply come back through the per-inner credit returns the
-    /// caller folds in. A retransmitted container re-executes nothing — every
-    /// inner frame hits its slot's replay filter and retires as `Replayed`.
-    #[allow(clippy::too_many_arguments)]
-    fn receive_batch(
-        &self,
-        cache: &InjectionCache,
-        stats: &mut RuntimeStats,
-        container: &[u8],
-        core: usize,
-        bus: &mut CoreBus,
-        shard_space: &mut ShardSpace,
-        mut replay: Option<(&mut Vec<u32>, usize)>,
-        bank: usize,
-        mailbox: &crate::mailbox::ReactiveMailbox,
-        frame_len: usize,
-        detected_at: SimTime,
-        wait: WaitOutcome,
-    ) -> AmResult<SlotOutcome> {
-        let view = BatchView::parse(container)?;
-        let base = mailbox.base_addr();
-        // One container-header read is the whole prologue: inner headers are
-        // still read per frame below (that work is real), but readiness was
-        // checked once and the outer parse validated the whole envelope.
-        let prologue = bus.access(core, base, FRAME_HEADER_SIZE, AccessKind::Read);
-        stats.exec_time += prologue;
-        stats.wait_time += wait.elapsed;
-        stats.cycles.add_wait(wait.cycles);
-        stats
-            .cycles
-            .add_work_time(prologue, self.config.wait_model.core_freq_ghz);
-        let mut clock = detected_at + prologue;
-        let mut frames = Vec::with_capacity(view.frames().len());
-        for (ix, &(dest, bytes)) in view.frames().iter().enumerate() {
-            let dest = dest as usize;
-            // The inner frame's bytes live inside the carrier slot's memory,
-            // so its charged addresses are carrier-relative.
-            let offset = bytes.as_ptr() as usize - container.as_ptr() as usize;
-            let inner_base = base + offset as u64;
-            let frame = match FrameView::parse(bytes) {
-                Ok(frame) => frame,
-                Err(err) => {
-                    frames.push(InnerOutcome::Rejected {
-                        slot: dest,
-                        err: AmError::BadFrame(format!("batch inner frame {ix}: {err}")),
-                    });
-                    continue;
-                }
-            };
-            let sn = frame.header.sn;
-            let last_sn = replay.as_mut().map(|(filter, num_shards)| {
-                Self::replay_entry(
-                    filter,
-                    *num_shards,
-                    self.config.mailboxes_per_bank,
-                    bank,
-                    dest,
-                )
-            });
-            if let Some(last) = &last_sn {
-                if **last != 0 && !super::shard::sn_newer(sn, **last) {
-                    stats.replays_suppressed += 1;
-                    frames.push(InnerOutcome::Replayed { slot: dest, sn });
-                    continue;
-                }
-            }
-            match self.dispatch_frame(cache, stats, core, bus, shard_space, &frame, inner_base) {
-                Ok(dispatched) => {
-                    let handler_done = clock + dispatched.handler_time;
-                    stats.messages_received += 1;
-                    stats.batch_frames_received += 1;
-                    stats.exec_time += dispatched.handler_time;
-                    stats.cycles.add_work_time(
-                        dispatched.handler_time,
-                        self.config.wait_model.core_freq_ghz,
-                    );
-                    if let Some(last) = last_sn {
-                        *last = sn;
-                    }
-                    frames.push(InnerOutcome::Executed {
-                        slot: dest,
-                        sn,
-                        outcome: ReceiveOutcome {
-                            detected_at: clock,
-                            handler_done,
-                            wait: WaitOutcome {
-                                elapsed: SimTime::ZERO,
-                                cycles: 0,
-                            },
-                            exec: dispatched.exec_stats,
-                            result: dispatched.result,
-                            handler_time: dispatched.handler_time,
-                            dispatch_time: dispatched.handler_time - dispatched.exec_time,
-                        },
-                    });
-                    clock = handler_done;
-                }
-                Err(err) => {
-                    frames.push(InnerOutcome::Rejected { slot: dest, err });
-                }
-            }
-        }
-        // One clear retires the whole container: the release header the
-        // sender published covers every inner frame.
-        mailbox.clear(frame_len)?;
-        stats.batches_received += 1;
-        Ok(SlotOutcome::Batch { frames })
-    }
-
     /// The dispatch core shared by the single-frame and batch paths: header
     /// read, mode split, policy check, cache resolution, execution and
     /// continuation stages for one parsed frame whose wire bytes live at
     /// `base_addr`. Charges everything to `stats` except the per-frame
     /// retirement bookkeeping (`messages_received`, wait, mailbox clear),
-    /// which stays with the caller — the batch path amortizes those.
+    /// which stays with the slot and per-frame steps — a container amortizes
+    /// those.
     #[allow(clippy::too_many_arguments)]
     fn dispatch_frame(
         &self,
@@ -1976,8 +1814,8 @@ impl HostCore {
             // result is stored there (one charged 8-byte write), the next stage
             // is resolved through the Local Function library and dispatched for
             // the per-stage table-lookup cost — no new frame, no new wait, no
-            // re-parse. The frame stays in its mailbox until the whole chain
-            // retires, so a failing stage propagates ChainStageFailed into the
+            // re-parse. The frame retires only once the whole chain has run,
+            // so a failing stage propagates ChainStageFailed into the
             // ordinary rejection path: the frame is retired as a whole, one
             // `frames_rejected`, one credit.
             if let Some(chain) = frame.chain.filter(|c| !c.is_empty()) {

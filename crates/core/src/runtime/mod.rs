@@ -65,8 +65,22 @@
 //!   in one scan ([`MailboxBank::scan_burst`](crate::bank::MailboxBank::scan_burst)),
 //!   amortising the poll: the scan's wait is charged once per burst instead of per
 //!   message, and poisoned slots are quarantined in the same pass.
-//!   [`TwoChainsHost::receive`] is the single-frame case of the same engine, with
-//!   the per-message wait model applied.
+//!   [`TwoChainsHost::receive`] (and [`ShardDrain::receive`]) is the one-slot
+//!   case of the same engine: the slot is named instead of scanned, and the
+//!   frame pays the per-message wait model instead of a share of one poll.
+//!
+//! **One receive engine.** Both entry points run one *slot step* per mailbox:
+//! copy the frame out and clear the slot, then hand each frame it holds — a
+//! standalone frame is a container of one — to one *per-frame step*: replay
+//! check, dispatch, accounting, and immediate retirement on the drain clock
+//! (gap-watch note, then a credit token, an idempotent replay credit, or
+//! `frames_rejected` plus a credit). A standalone frame charges its own
+//! mailbox wait; a container charges one wait and one header-read prologue
+//! for all its inner frames. Every call leaves through the same abort-safe
+//! exit flush, so no credit token is withheld past a return, and a credit-put
+//! failure is always propagated. The two entry points differ only in what
+//! they keep of the retired frames: a burst reports all of them, `receive`
+//! the last executed outcome or the first rejection.
 //! * [`TwoChainsHost::shard_drains`] — splits the host into independently movable
 //!   per-shard drain handles for genuinely parallel (multi-threaded) draining.
 //!
@@ -134,8 +148,8 @@
 //! * **One frame, one credit, one verdict.** Continuation stages dispatch
 //!   through the Local Function library for the per-stage table-lookup cost —
 //!   no new frame, no new mailbox wait, no re-parse; that is the amortization
-//!   the fastpath bench's chain row measures. The frame stays in its mailbox
-//!   until the whole chain retires: a failing stage (unknown element, VM
+//!   the fastpath bench's chain row measures. The frame's slot is credited
+//!   only once the whole chain retires: a failing stage (unknown element, VM
 //!   fault) aborts the remaining stages and retires the frame through the
 //!   ordinary rejection path as
 //!   [`AmError::ChainStageFailed`] naming the stage index — exactly one `frames_rejected`, exactly one

@@ -60,10 +60,9 @@ pub struct ReceiverShard {
     pub(crate) stats: RuntimeStats,
     /// The one-sided credit-return path for this shard's paired sender stream
     /// (§VI-A2): installed by
-    /// [`TwoChainsHost::install_credit_returns`](super::TwoChainsHost::install_credit_returns)
-    /// when the fleet's stream count matches the shard count; `None` until
-    /// then (pre-fleet drains and raw-sender benchmarks pay no credit
-    /// traffic). Owned by the shard so drain threads return credits without a
+    /// [`SenderFleet::connect_fleet`](super::SenderFleet::connect_fleet) as
+    /// the reverse half of its session exchange; `None` until then
+    /// (pre-fleet drains and raw-sender benchmarks pay no credit traffic). Owned by the shard so drain threads return credits without a
     /// lock — the endpoint serializes on the NIC models like any other put.
     pub(crate) credit: Option<CreditReturn>,
     /// Per-slot last-executed sequence number, indexed `bank_row * per_bank +
@@ -237,10 +236,12 @@ impl ShardDrain<'_> {
         self.core.receive_burst(self.shard, max_frames, now)
     }
 
-    /// Process one specific mailbox through this shard (the single-frame case of
-    /// the burst engine, with the wait model applied). The mailbox's bank must be
-    /// owned by this shard: draining another shard's bank from here could race
-    /// that shard on the same slot, so it is rejected.
+    /// Process one specific mailbox through this shard. Identical semantics
+    /// to [`TwoChainsHost::receive`](super::TwoChainsHost::receive): the
+    /// same slot step and exit flush a burst runs, with the slot named
+    /// instead of scanned and the wait model applied. The mailbox's bank must
+    /// be owned by this shard: draining another shard's bank from here could
+    /// race that shard on the same slot, so it is rejected.
     pub fn receive(
         &mut self,
         bank: usize,
@@ -256,7 +257,7 @@ impl ShardDrain<'_> {
             )));
         }
         self.core
-            .receive_owned(self.shard, bank, slot, frame_len, arrival, ready_since)
+            .receive(self.shard, bank, slot, frame_len, arrival, ready_since)
     }
 
     /// Statistics accumulated by this shard so far.

@@ -1,19 +1,12 @@
 //! Runtime tests: the end-to-end receive/send paths, the fast-path cache
 //! behaviour, and the sharded burst-draining layer.
-//!
-//! The deprecated send/handshake spellings (`send_message`, `sender_handshake`,
-//! `install_credit_returns`, `connect`, ...) are exercised here on purpose —
-//! they must stay behaviourally pinned for as long as the thin wrappers exist.
-//! Everything outside this module constructs messages and sessions through
-//! `spec()`/`send_spec`/`connect_fleet`.
-#![allow(deprecated)]
 
 use twochains_fabric::SimFabric;
 use twochains_jamvm::{encode_program, GotImage, Instr};
 use twochains_linker::ElementId;
 use twochains_memsim::{SimTime, TestbedConfig};
 
-use super::{ReceiveOutcome, TwoChainsHost, TwoChainsSender};
+use super::{spec, ReceiveOutcome, TwoChainsHost, TwoChainsSender};
 use crate::builtin::{benchmark_package, indirect_put_args, ssum_args, BuiltinJam};
 use crate::config::{InvocationMode, RuntimeConfig};
 use crate::error::AmError;
@@ -333,20 +326,13 @@ fn pump_injected_into(
     n: usize,
 ) -> Vec<ReceiveOutcome> {
     let target = rx.mailbox_target(bank, 0).unwrap();
+    let msg = spec(elem)
+        .mode(InvocationMode::Injected)
+        .args(ssum_args(4))
+        .usr(payload(4));
     let mut outs = Vec::with_capacity(n);
     for i in 0..n {
-        let args = ssum_args(4);
-        let usr = payload(4);
-        let send = tx
-            .send_message(
-                SimTime::ZERO,
-                elem,
-                InvocationMode::Injected,
-                &args,
-                &usr,
-                &target,
-            )
-            .unwrap();
+        let send = tx.send_spec(SimTime::ZERO, &msg, &target).unwrap();
         let out = rx
             .receive(
                 bank,
@@ -446,23 +432,16 @@ fn hardened_mode_caches_local_resolution() {
 fn repeat_sends_are_byte_identical_without_repatching() {
     let (rx, mut tx) = testbed(RuntimeConfig::paper_default());
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
-    let args = ssum_args(4);
-    let usr = payload(4);
+    let msg = spec(id)
+        .mode(InvocationMode::Injected)
+        .args(ssum_args(4))
+        .usr(payload(4));
     // Two sends of the same element land in different mailboxes; capture both
     // wire images before receiving.
     let mut wires = Vec::new();
     for slot in 0..2 {
         let target = rx.mailbox_target(0, slot).unwrap();
-        let send = tx
-            .send_message(
-                SimTime::ZERO,
-                id,
-                InvocationMode::Injected,
-                &args,
-                &usr,
-                &target,
-            )
-            .unwrap();
+        let send = tx.send_spec(SimTime::ZERO, &msg, &target).unwrap();
         wires.push(
             rx.banks()
                 .mailbox(0, slot)
@@ -492,7 +471,7 @@ fn repeat_sends_are_byte_identical_without_repatching() {
 }
 
 #[test]
-fn send_message_matches_pack_plus_send() {
+fn send_spec_matches_pack_plus_send() {
     let (mut rx, mut tx) = testbed(RuntimeConfig::paper_default());
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     let args = ssum_args(8);
@@ -500,12 +479,12 @@ fn send_message_matches_pack_plus_send() {
     // Fast path into slot 0.
     let t0 = rx.mailbox_target(0, 0).unwrap();
     let fast = tx
-        .send_message(
+        .send_spec(
             SimTime::ZERO,
-            id,
-            InvocationMode::Injected,
-            &args,
-            &usr,
+            &spec(id)
+                .mode(InvocationMode::Injected)
+                .args(args.clone())
+                .usr(usr.clone()),
             &t0,
         )
         .unwrap();
@@ -598,7 +577,11 @@ fn oversized_args_rejected_at_the_sender() {
         .unwrap_err();
     assert!(matches!(&err, AmError::BadFrame(m) if m.contains("ARGS")));
     let err = tx
-        .send_message(SimTime::ZERO, id, InvocationMode::Local, &big, &[], &target)
+        .send_spec(
+            SimTime::ZERO,
+            &spec(id).mode(InvocationMode::Local).args(big),
+            &target,
+        )
         .unwrap_err();
     assert!(matches!(&err, AmError::BadFrame(m) if m.contains("ARGS")));
 }
@@ -686,12 +669,12 @@ fn receive_burst_drains_a_shards_banks_in_one_call() {
         for slot in 0..2 {
             let target = rx.mailbox_target(bank, slot).unwrap();
             let send = tx
-                .send_message(
+                .send_spec(
                     SimTime::ZERO,
-                    id,
-                    InvocationMode::Injected,
-                    &ssum_args(4),
-                    &payload(4),
+                    &spec(id)
+                        .mode(InvocationMode::Injected)
+                        .args(ssum_args(4))
+                        .usr(payload(4)),
                     &target,
                 )
                 .unwrap();
@@ -733,12 +716,12 @@ fn receive_burst_respects_max_frames() {
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     for slot in 0..3 {
         let target = rx.mailbox_target(0, slot).unwrap();
-        tx.send_message(
+        tx.send_spec(
             SimTime::ZERO,
-            id,
-            InvocationMode::Injected,
-            &ssum_args(4),
-            &payload(4),
+            &spec(id)
+                .mode(InvocationMode::Injected)
+                .args(ssum_args(4))
+                .usr(payload(4)),
             &target,
         )
         .unwrap();
@@ -763,12 +746,12 @@ fn receive_burst_amortises_the_per_message_wait() {
         for slot in 0..5 {
             let target = rx.mailbox_target(0, slot).unwrap();
             let send = tx
-                .send_message(
+                .send_spec(
                     SimTime::ZERO,
-                    id,
-                    InvocationMode::Injected,
-                    &ssum_args(4),
-                    &payload(4),
+                    &spec(id)
+                        .mode(InvocationMode::Injected)
+                        .args(ssum_args(4))
+                        .usr(payload(4)),
                     &target,
                 )
                 .unwrap();
@@ -807,12 +790,12 @@ fn receive_burst_drops_malformed_frames_and_frees_their_slots() {
     let id = rx.builtin_id(BuiltinJam::ServerSideSum).unwrap();
     // Slot 0: good frame. Slot 1: garbage code of the declared length.
     let t0 = rx.mailbox_target(0, 0).unwrap();
-    tx.send_message(
+    tx.send_spec(
         SimTime::ZERO,
-        id,
-        InvocationMode::Injected,
-        &ssum_args(4),
-        &payload(4),
+        &spec(id)
+            .mode(InvocationMode::Injected)
+            .args(ssum_args(4))
+            .usr(payload(4)),
         &t0,
     )
     .unwrap();
@@ -849,12 +832,12 @@ fn shard_drains_split_the_host_for_parallel_draining() {
     pump_injected_into(&mut rx, &mut tx, id, 0, 1);
     for bank in 0..4 {
         let target = rx.mailbox_target(bank, 0).unwrap();
-        tx.send_message(
+        tx.send_spec(
             SimTime::ZERO,
-            id,
-            InvocationMode::Injected,
-            &ssum_args(4),
-            &payload(4),
+            &spec(id)
+                .mode(InvocationMode::Injected)
+                .args(ssum_args(4))
+                .usr(payload(4)),
             &target,
         )
         .unwrap();
@@ -886,12 +869,12 @@ fn receive_burst_quarantines_poisoned_slots() {
     // larger than the mailbox — invisible to the readiness scan, and without the
     // quarantine sweep it would occupy the slot forever.
     let t0 = rx.mailbox_target(0, 0).unwrap();
-    tx.send_message(
+    tx.send_spec(
         SimTime::ZERO,
-        id,
-        InvocationMode::Injected,
-        &ssum_args(4),
-        &payload(4),
+        &spec(id)
+            .mode(InvocationMode::Injected)
+            .args(ssum_args(4))
+            .usr(payload(4)),
         &t0,
     )
     .unwrap();
@@ -916,12 +899,12 @@ fn receive_burst_quarantines_poisoned_slots() {
         .unwrap()
         .is_empty());
     let send = tx
-        .send_message(
+        .send_spec(
             SimTime::ZERO,
-            id,
-            InvocationMode::Injected,
-            &ssum_args(4),
-            &payload(4),
+            &spec(id)
+                .mode(InvocationMode::Injected)
+                .args(ssum_args(4))
+                .usr(payload(4)),
             &t1,
         )
         .unwrap();
@@ -937,12 +920,12 @@ fn shard_drain_rejects_foreign_banks() {
     // A frame sits in bank 1 (owned by shard 1).
     let target = rx.mailbox_target(1, 0).unwrap();
     let send = tx
-        .send_message(
+        .send_spec(
             SimTime::ZERO,
-            id,
-            InvocationMode::Injected,
-            &ssum_args(4),
-            &payload(4),
+            &spec(id)
+                .mode(InvocationMode::Injected)
+                .args(ssum_args(4))
+                .usr(payload(4)),
             &target,
         )
         .unwrap();
@@ -974,12 +957,12 @@ fn shard_local_space_partitions_writable_state_per_shard() {
     for bank in [0usize, 1] {
         let target = rx.mailbox_target(bank, 0).unwrap();
         let send = tx
-            .send_message(
+            .send_spec(
                 SimTime::ZERO,
-                id,
-                InvocationMode::Injected,
-                &indirect_put_args(42, 4, 4),
-                &payload(4),
+                &spec(id)
+                    .mode(InvocationMode::Injected)
+                    .args(indirect_put_args(42, 4, 4))
+                    .usr(payload(4)),
                 &target,
             )
             .unwrap();
@@ -1008,12 +991,12 @@ fn shard_local_space_partitions_writable_state_per_shard() {
     // Re-putting the key through the same shard reuses that shard's slot.
     let target = rx.mailbox_target(0, 1).unwrap();
     let send = tx
-        .send_message(
+        .send_spec(
             SimTime::ZERO,
-            id,
-            InvocationMode::Injected,
-            &indirect_put_args(42, 4, 4),
-            &payload(4),
+            &spec(id)
+                .mode(InvocationMode::Injected)
+                .args(indirect_put_args(42, 4, 4))
+                .usr(payload(4)),
             &target,
         )
         .unwrap();
@@ -1062,12 +1045,9 @@ fn cross_shard_jam_falls_back_to_the_exclusive_space() {
     for bank in [0usize, 1] {
         let target = rx.mailbox_target(bank, 0).unwrap();
         let send = tx
-            .send_message(
+            .send_spec(
                 SimTime::ZERO,
-                id,
-                InvocationMode::Injected,
-                &[0u8; 20],
-                &[],
+                &spec(id).mode(InvocationMode::Injected).args([0u8; 20]),
                 &target,
             )
             .unwrap();
@@ -1235,12 +1215,12 @@ fn quarantine_and_rejection_counters_reach_the_merged_stats() {
     // Slot 0: good. Slot 1: rejected at dispatch (garbage code). Slot 2: a
     // poisoned header quarantined by the scan.
     let t0 = rx.mailbox_target(0, 0).unwrap();
-    tx.send_message(
+    tx.send_spec(
         SimTime::ZERO,
-        id,
-        InvocationMode::Injected,
-        &ssum_args(4),
-        &payload(4),
+        &spec(id)
+            .mode(InvocationMode::Injected)
+            .args(ssum_args(4))
+            .usr(payload(4)),
         &t0,
     )
     .unwrap();
@@ -1343,7 +1323,8 @@ fn fleet_testbed_with(
     let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
     host.install_package(benchmark_package().unwrap()).unwrap();
     let fleet =
-        super::SenderFleet::connect(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+        super::SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
+            .unwrap();
     (host, fleet)
 }
 
@@ -1434,6 +1415,48 @@ fn lifetime_flush_totals_survive_stats_resets() {
     }
 }
 
+/// Drain-clock conservation: with no stressor and nothing rejected, a burst's
+/// drain window is exactly the time it charged to the shard — the scan's
+/// wait, every handler and container prologue, and every credit put it
+/// posted. Each inner frame of a container retires on the drain clock, so a
+/// credit put posted mid-container delays the next inner frame instead of
+/// overlapping it for free.
+#[test]
+fn burst_drain_time_is_the_sum_of_its_charged_layers() {
+    use crate::config::{AggregationPolicy, CreditFlushPolicy};
+    for credits in [CreditFlushPolicy::Adaptive, CreditFlushPolicy::PerFrame] {
+        for aggregation in [AggregationPolicy::Adaptive, AggregationPolicy::PerFrame] {
+            let mut cfg = RuntimeConfig::paper_default()
+                .with_shards(2)
+                .with_sender_streams(2);
+            cfg.credit_flush_policy = credits;
+            cfg.aggregation_policy = aggregation;
+            let (mut host, mut fleet) = fleet_testbed_with(cfg, 64);
+            let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
+            for round in 0..3 {
+                let horizons = fleet
+                    .fill_all(elem, InvocationMode::Injected, round, &fleet_payload)
+                    .unwrap();
+                for (shard, &now) in horizons.iter().enumerate() {
+                    let before = host.shard_stats(shard).unwrap().clone();
+                    let out = host.receive_burst(shard, usize::MAX, now).unwrap();
+                    assert!(out.rejected.is_empty());
+                    let after = host.shard_stats(shard).unwrap();
+                    let charged = (after.wait_time - before.wait_time)
+                        + (after.exec_time - before.exec_time)
+                        + (after.credit_put_time - before.credit_put_time);
+                    assert_eq!(
+                        out.drained_at - now,
+                        charged,
+                        "{credits:?} credits, {aggregation:?} aggregation, \
+                         round {round}, shard {shard}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// The deterministic Indirect Put payload the fleet tests fill with.
 fn fleet_payload(ctx: super::SlotCtx) -> (Vec<u8>, Vec<u8>) {
     let key = ctx
@@ -1445,9 +1468,9 @@ fn fleet_payload(ctx: super::SlotCtx) -> (Vec<u8>, Vec<u8>) {
 }
 
 #[test]
-fn sender_handshake_partitions_banks_and_exports_gots() {
+fn stream_handshakes_partition_banks_and_export_gots() {
     let (host, _) = fleet_testbed(2, 64);
-    let handshakes = host.sender_handshake(2).unwrap();
+    let handshakes = host.stream_handshakes(2).unwrap();
     assert_eq!(handshakes.len(), 2);
     let total: usize = handshakes.iter().map(|h| h.targets.len()).sum();
     assert_eq!(total, host.config().total_mailboxes());
@@ -1468,8 +1491,8 @@ fn sender_handshake_partitions_banks_and_exports_gots() {
         }
     }
     // Degenerate stream counts are rejected with actionable errors.
-    assert!(host.sender_handshake(0).is_err());
-    assert!(host.sender_handshake(host.config().banks + 1).is_err());
+    assert!(host.stream_handshakes(0).is_err());
+    assert!(host.stream_handshakes(host.config().banks + 1).is_err());
 }
 
 #[test]
@@ -1477,7 +1500,7 @@ fn handshake_without_package_is_rejected() {
     let (fabric, _, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
     let host = TwoChainsHost::new(&fabric, b, RuntimeConfig::paper_default()).unwrap();
     assert!(matches!(
-        host.sender_handshake(1),
+        host.stream_handshakes(1),
         Err(AmError::InvalidConfig(_))
     ));
 }
@@ -1518,12 +1541,12 @@ fn fleet_fill_drains_to_the_same_results_as_a_single_sender() {
             });
             let target = rx.mailbox_target(bank, slot).unwrap();
             let sent = tx
-                .send_message(
+                .send_spec(
                     SimTime::ZERO,
-                    elem,
-                    InvocationMode::Injected,
-                    &args,
-                    &usr,
+                    &spec(elem)
+                        .mode(InvocationMode::Injected)
+                        .args(args)
+                        .usr(usr),
                     &target,
                 )
                 .unwrap();
@@ -1644,43 +1667,6 @@ fn backpressure_pauses_only_the_saturated_stream() {
 }
 
 #[test]
-fn connect_installs_the_credit_path_only_for_the_closed_pairing() {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(2)
-        .with_sender_streams(2);
-    cfg.frame_capacity = 4096;
-    let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
-    assert!(!host.credit_path_installed());
-    // One stream over a two-shard host: no drain->lane credit route exists,
-    // so the fleet connects without the credit path (phased schedules only).
-    let single = super::SenderFleet::connect_streams(
-        &fabric,
-        a,
-        &mut host,
-        benchmark_package().unwrap(),
-        1,
-        64,
-    )
-    .unwrap();
-    assert_eq!(single.lane_count(), 1);
-    assert!(!host.credit_path_installed());
-    drop(single);
-    // The closed pairing wires it.
-    let _fleet = super::SenderFleet::connect_streams(
-        &fabric,
-        a,
-        &mut host,
-        benchmark_package().unwrap(),
-        2,
-        64,
-    )
-    .unwrap();
-    assert!(host.credit_path_installed());
-}
-
-#[test]
 fn install_credit_returns_validates_geometry() {
     let mut cfg = RuntimeConfig::paper_default().with_shards(2);
     cfg.frame_capacity = 4096;
@@ -1702,21 +1688,21 @@ fn install_credit_returns_validates_geometry() {
     };
     // Wrong handshake count: the closed pairing needs one per shard.
     assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 2)])
+        .install_credit_returns_inner(&fabric, vec![hs(0, 2)])
         .is_err());
     // Stream geometry that does not match the shard count.
     assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 3), hs(1, 3)])
+        .install_credit_returns_inner(&fabric, vec![hs(0, 3), hs(1, 3)])
         .is_err());
     // Duplicate stream.
     assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 2), hs(0, 2)])
+        .install_credit_returns_inner(&fabric, vec![hs(0, 2), hs(0, 2)])
         .is_err());
     // Mismatched mailbox geometry.
     let mut bad = hs(1, 2);
     bad.per_bank = per_bank + 1;
     assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 2), bad])
+        .install_credit_returns_inner(&fabric, vec![hs(0, 2), bad])
         .is_err());
     // A region too small for the stream's bank rows.
     let tiny = fabric
@@ -1727,11 +1713,11 @@ fn install_credit_returns_validates_geometry() {
     let mut small = hs(1, 2);
     small.descriptor = tiny.descriptor();
     assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 2), small])
+        .install_credit_returns_inner(&fabric, vec![hs(0, 2), small])
         .is_err());
     // Two streams over one region would clobber each other's token bytes.
     assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 2), hs(1, 2)])
+        .install_credit_returns_inner(&fabric, vec![hs(0, 2), hs(1, 2)])
         .is_err());
     // A table the receiver cannot put into would only fail at drain time;
     // install must catch it up front.
@@ -1743,7 +1729,7 @@ fn install_credit_returns_validates_geometry() {
     let mut unwritable = hs(1, 2);
     unwritable.descriptor = ro.descriptor();
     assert!(host
-        .install_credit_returns(&fabric, vec![hs(0, 2), unwritable])
+        .install_credit_returns_inner(&fabric, vec![hs(0, 2), unwritable])
         .is_err());
     // A well-formed pair — one disjoint writable region per stream — installs.
     let second = fabric
@@ -1753,7 +1739,7 @@ fn install_credit_returns_validates_geometry() {
         .unwrap();
     let mut other = hs(1, 2);
     other.descriptor = second.descriptor();
-    host.install_credit_returns(&fabric, vec![hs(0, 2), other])
+    host.install_credit_returns_inner(&fabric, vec![hs(0, 2), other])
         .unwrap();
     assert!(host.credit_path_installed());
 }
@@ -1764,13 +1750,13 @@ fn single_slot_receive_returns_the_credit_over_the_fabric() {
     let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
     let mut handles = fleet.handles();
     let sent = handles[0]
-        .send_to(
+        .send_spec(
             0,
             0,
-            elem,
-            InvocationMode::Injected,
-            &indirect_put_args(3, 4, 4),
-            &payload(4),
+            &spec(elem)
+                .mode(InvocationMode::Injected)
+                .args(indirect_put_args(3, 4, 4))
+                .usr(payload(4)),
         )
         .unwrap();
     drop(handles);
@@ -1796,13 +1782,12 @@ fn rejected_single_slot_receive_still_retires_and_credits() {
     let (mut host, mut fleet) = fleet_testbed(2, 64);
     let mut handles = fleet.handles();
     let sent = handles[0]
-        .send_to(
+        .send_spec(
             0,
             0,
-            ElementId(9999),
-            InvocationMode::Local,
-            &[],
-            &payload(4),
+            &spec(ElementId(9999))
+                .mode(InvocationMode::Local)
+                .usr(payload(4)),
         )
         .unwrap();
     drop(handles);
@@ -1843,9 +1828,11 @@ fn drive_pipeline_rejects_a_fleet_whose_credit_tables_were_replaced() {
     let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
     host.install_package(benchmark_package().unwrap()).unwrap();
     let mut stale =
-        super::SenderFleet::connect(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+        super::SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
+            .unwrap();
     let mut fresh =
-        super::SenderFleet::connect(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+        super::SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
+            .unwrap();
     let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
     let err = super::drive_pipeline(
         &mut host,
@@ -1886,7 +1873,8 @@ fn drive_pipeline_requires_the_credit_path() {
     let mut host = TwoChainsHost::new(&fabric, b, cfg.clone()).unwrap();
     host.install_package(benchmark_package().unwrap()).unwrap();
     let mut fleet =
-        super::SenderFleet::connect(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+        super::SenderFleet::connect_fleet(&fabric, a, &mut host, benchmark_package().unwrap())
+            .unwrap();
     assert!(host.credit_path_installed());
     let mut fresh = TwoChainsHost::new(&fabric, b, cfg).unwrap();
     fresh.install_package(benchmark_package().unwrap()).unwrap();
@@ -1918,15 +1906,24 @@ fn fleet_lanes_are_send() {
 
 #[test]
 fn drive_pipeline_requires_one_lane_per_shard() {
-    let mut cfg = RuntimeConfig::paper_default()
-        .with_shards(2)
-        .with_sender_streams(1);
-    cfg.frame_capacity = 4096;
+    // A one-lane fleet (connected to a one-shard host) handed to a two-shard
+    // host: the pipeline must refuse the lane/shard mismatch up front.
     let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
-    let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
-    host.install_package(benchmark_package().unwrap()).unwrap();
+    let host_with = |shards: usize| {
+        let mut cfg = RuntimeConfig::paper_default()
+            .with_shards(shards)
+            .with_sender_streams(shards);
+        cfg.frame_capacity = 4096;
+        let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
+        host.install_package(benchmark_package().unwrap()).unwrap();
+        host
+    };
+    let mut single = host_with(1);
     let mut fleet =
-        super::SenderFleet::connect(&fabric, a, &mut host, benchmark_package().unwrap()).unwrap();
+        super::SenderFleet::connect_fleet(&fabric, a, &mut single, benchmark_package().unwrap())
+            .unwrap();
+    assert_eq!(fleet.lane_count(), 1);
+    let mut host = host_with(2);
     let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
     let err = super::drive_pipeline(
         &mut host,
@@ -1937,7 +1934,11 @@ fn drive_pipeline_requires_one_lane_per_shard() {
         &fleet_payload,
     )
     .unwrap_err();
-    assert!(matches!(err, AmError::InvalidConfig(_)));
+    // The lane check runs first (this host has no credit path either).
+    assert!(
+        matches!(&err, AmError::InvalidConfig(m) if m.contains("one sender lane per shard")),
+        "{err}"
+    );
 }
 
 #[test]
@@ -1964,61 +1965,32 @@ fn builtin_id_reports_the_missing_name() {
 }
 
 #[test]
-fn send_message_tracked_applies_window_backpressure() {
+fn send_spec_tracked_applies_window_backpressure() {
     let (rx, mut tx) = testbed(RuntimeConfig::paper_default());
     let elem = rx.builtin_id(BuiltinJam::IndirectPut).unwrap();
     let target = rx.mailbox_target(0, 0).unwrap();
     let mut cq = twochains_fabric::CompletionQueue::new(2, SimTime::from_ns(5));
-    let args = indirect_put_args(1, 4, 4);
+    let msg = spec(elem)
+        .mode(InvocationMode::Injected)
+        .args(indirect_put_args(1, 4, 4))
+        .usr(payload(4));
     let first = tx
-        .send_message_tracked(
-            SimTime::ZERO,
-            elem,
-            InvocationMode::Injected,
-            &args,
-            &payload(4),
-            &target,
-            &mut cq,
-        )
+        .send_spec_tracked(SimTime::ZERO, &msg, &target, &mut cq)
         .unwrap();
-    tx.send_message_tracked(
-        first.sender_free(),
-        elem,
-        InvocationMode::Injected,
-        &args,
-        &payload(4),
-        &target,
-        &mut cq,
-    )
-    .unwrap();
+    tx.send_spec_tracked(first.sender_free(), &msg, &target, &mut cq)
+        .unwrap();
     assert_eq!(cq.outstanding(), 2);
     // Window full: the third tracked send is refused before any bytes move.
     let sent_before = tx.stats().messages_sent;
     let err = tx
-        .send_message_tracked(
-            SimTime::ZERO,
-            elem,
-            InvocationMode::Injected,
-            &args,
-            &payload(4),
-            &target,
-            &mut cq,
-        )
+        .send_spec_tracked(SimTime::ZERO, &msg, &target, &mut cq)
         .unwrap_err();
     assert!(matches!(err, AmError::Fabric(_)), "{err}");
     assert_eq!(tx.stats().messages_sent, sent_before);
     // Harvesting reopens the window.
     cq.poll(SimTime::from_us(1_000));
     assert!(tx
-        .send_message_tracked(
-            SimTime::ZERO,
-            elem,
-            InvocationMode::Injected,
-            &args,
-            &payload(4),
-            &target,
-            &mut cq,
-        )
+        .send_spec_tracked(SimTime::ZERO, &msg, &target, &mut cq)
         .is_ok());
 }
 

@@ -92,8 +92,8 @@ fn run_with(seed: u64, plan: Option<FaultPlan>, per_frame: bool) -> Run {
     let (fabric, a, b) = SimFabric::back_to_back(TestbedConfig::cluster2021());
     let mut host = TwoChainsHost::new(&fabric, b, cfg).unwrap();
     host.install_package(benchmark_package().unwrap()).unwrap();
-    // The plan must be installed before `connect` creates the lane endpoints:
-    // each endpoint captures the link's fault hook at creation time.
+    // The plan must be installed before `connect_fleet` creates the lane
+    // endpoints: each endpoint captures the link's fault hook at creation time.
     if let Some(plan) = plan {
         fabric.install_fault_plan(a, b, plan).unwrap();
     }

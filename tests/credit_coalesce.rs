@@ -13,13 +13,16 @@
 //! counted here is a token a real sender could spend. Minted-but-unflushed
 //! tokens are invisible to it — which is precisely the bug class this suite
 //! exists to catch.
+//!
+//! The single-slot `receive` is the one-slot case of the burst engine, so the
+//! retirement laws are checked under both drain modes ([`Drain`]).
 
-use two_chains_suite::fabric::{FaultPlan, SimFabric};
+use two_chains_suite::fabric::{FaultPlan, HostId, SimFabric};
 use two_chains_suite::memsim::{SimTime, TestbedConfig};
 use twochains::builtin::{benchmark_package, ssum_args, BuiltinJam};
 use twochains::frame::FRAME_HEADER_SIZE;
 use twochains::{
-    drive_pipeline, CreditFlushPolicy, Frame, InvocationMode, RuntimeConfig, SenderFleet,
+    drive_pipeline, AmError, CreditFlushPolicy, Frame, InvocationMode, RuntimeConfig, SenderFleet,
     TwoChainsHost,
 };
 
@@ -76,6 +79,47 @@ fn token_census(host: &TwoChainsHost, fleet: &SenderFleet) -> usize {
     pending
 }
 
+/// How a helper drains the host: one burst scan per shard, or one single-slot
+/// `receive` per mailbox. Both run the same slot step and retire path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Drain {
+    Burst,
+    Slots,
+}
+
+/// Drain every mailbox once the `drain` way, returning the number of frames
+/// executed and every rejection error. A burst reports quarantined slots
+/// among its rejections; slot by slot, a poisoned slot is a rejection error
+/// of its own `receive`. A suppressed replay is neither.
+fn drain_once(host: &mut TwoChainsHost, drain: Drain) -> (usize, Vec<AmError>) {
+    let mut drained = 0;
+    let mut rejected = Vec::new();
+    match drain {
+        Drain::Burst => {
+            for shard in 0..host.num_shards() {
+                let out = host
+                    .receive_burst(shard, usize::MAX, SimTime::ZERO)
+                    .unwrap();
+                drained += out.frames.len();
+                rejected.extend(out.rejected.into_iter().map(|(_, _, err)| err));
+            }
+        }
+        Drain::Slots => {
+            let (banks, per_bank) = (host.config().banks, host.config().mailboxes_per_bank);
+            for bank in 0..banks {
+                for slot in 0..per_bank {
+                    match host.receive(bank, slot, None, SimTime::ZERO, SimTime::ZERO) {
+                        Ok(_) => drained += 1,
+                        Err(AmError::Empty) => {}
+                        Err(err) => rejected.push(err),
+                    }
+                }
+            }
+        }
+    }
+    (drained, rejected)
+}
+
 /// Overwrite mailbox (`bank`, `slot`) with a poisoned header: magic set, but
 /// the declared frame length out of range — retired via quarantine.
 fn poison(fabric: &SimFabric, host: &TwoChainsHost, bank: usize, slot: usize) {
@@ -115,8 +159,9 @@ fn bogus_element(fabric: &SimFabric, host: &TwoChainsHost, bank: usize, slot: us
 }
 
 /// Drained + quarantined + rejected retirements all mint exactly one
-/// sender-observable token each, whatever the flush policy batches them into.
-fn assert_mixed_retirements_conserve_tokens(policy: CreditFlushPolicy) {
+/// sender-observable token each, whatever the flush policy batches them into
+/// and whichever way the host is drained.
+fn assert_mixed_retirements_conserve_tokens(policy: CreditFlushPolicy, drain: Drain) {
     // Per-frame aggregation: the sabotage below overwrites individual wire
     // slots, which only line up with individual frames when nothing batches.
     let (fabric, mut host, mut fleet) =
@@ -133,35 +178,42 @@ fn assert_mixed_retirements_conserve_tokens(policy: CreditFlushPolicy) {
     poison(&fabric, &host, 0, 0);
     bogus_element(&fabric, &host, 0, 1);
 
-    let mut drained = 0usize;
-    let mut rejected = 0usize;
-    for shard in 0..SHARDS {
-        let out = host
-            .receive_burst(shard, usize::MAX, SimTime::ZERO)
-            .unwrap();
-        drained += out.frames.len();
-        rejected += out.rejected.len();
-    }
+    let (drained, rejected) = drain_once(&mut host, drain);
     assert_eq!(drained, total - 2);
-    assert_eq!(rejected, 2, "one quarantine + one dispatch rejection");
+    assert_eq!(
+        rejected.len(),
+        2,
+        "one poisoned slot + one dispatch rejection"
+    );
+    assert!(
+        rejected
+            .iter()
+            .any(|err| matches!(err, AmError::UnknownElement(0xDEAD))),
+        "{rejected:?}"
+    );
 
     let stats = host.stats();
-    assert_eq!(stats.poisoned_quarantined, 1);
-    assert_eq!(stats.frames_rejected, 1);
+    // A burst's scan quarantines the poisoned slot; a single-slot receive
+    // rejects it as unreadable. Either way it is retired exactly once.
+    let quarantined = u64::from(drain == Drain::Burst);
+    assert_eq!(stats.poisoned_quarantined, quarantined);
+    assert_eq!(stats.frames_rejected, 2 - quarantined);
     // The conservation law: one token per retired frame, no more, no less —
     // and every one of them observable from the sender side right now.
     assert_eq!(stats.credits_returned as usize, total);
     assert_eq!(stats.credit_put_bytes as usize, total);
     assert_eq!(token_census(&host, &fleet), total);
-    match policy {
+    match (policy, drain) {
         // Full banks coalesce into row spans: strictly fewer wire ops than
         // tokens is the whole point of the policy.
-        CreditFlushPolicy::Adaptive => {
+        (CreditFlushPolicy::Adaptive, Drain::Burst) => {
             assert!(stats.credit_flushes < stats.credits_returned);
             assert!(stats.credit_flush_max_span > 1);
         }
-        // The uncoalesced baseline: one single-byte put per token.
-        CreditFlushPolicy::PerFrame => {
+        // The uncoalesced baseline: one single-byte put per token — also
+        // what every single-slot receive posts, since its exit flush leaves
+        // nothing withheld.
+        (CreditFlushPolicy::PerFrame, _) | (_, Drain::Slots) => {
             assert_eq!(stats.credit_flushes, stats.credits_returned);
             assert_eq!(stats.credit_flush_bytes, stats.credits_returned);
             assert_eq!(stats.credit_flush_max_span, 1);
@@ -172,12 +224,16 @@ fn assert_mixed_retirements_conserve_tokens(policy: CreditFlushPolicy) {
 
 #[test]
 fn mixed_retirements_conserve_tokens_under_adaptive_flushes() {
-    assert_mixed_retirements_conserve_tokens(CreditFlushPolicy::Adaptive);
+    for drain in [Drain::Burst, Drain::Slots] {
+        assert_mixed_retirements_conserve_tokens(CreditFlushPolicy::Adaptive, drain);
+    }
 }
 
 #[test]
 fn mixed_retirements_conserve_tokens_under_per_frame_flushes() {
-    assert_mixed_retirements_conserve_tokens(CreditFlushPolicy::PerFrame);
+    for drain in [Drain::Burst, Drain::Slots] {
+        assert_mixed_retirements_conserve_tokens(CreditFlushPolicy::PerFrame, drain);
+    }
 }
 
 /// The mid-burst abort case: a burst capped at one frame ends its scan with
@@ -279,18 +335,20 @@ fn a_capped_burst_flushes_every_container_token_it_minted() {
 /// Suppressed replays re-publish an existing token idempotently: under a
 /// duplicating/dropping link the pipeline still ends with exactly one token
 /// per mailbox and one credit per *received* message, for both policies.
-fn assert_replays_mint_nothing(policy: CreditFlushPolicy) {
+/// Then a stale copy of an executed frame lands in every mailbox and is
+/// drained the `drain` way: each copy is suppressed and mints nothing.
+fn assert_replays_mint_nothing(policy: CreditFlushPolicy, drain: Drain) {
     // Whether a duplicate put is *observed* as a replay depends on whether
     // the receiver scans between the two arrivals — a wall-clock race the
     // seeded plan cannot pin. Conservation must hold on every run; the
     // replay path itself only has to fire on some seed, so walk a few.
-    let mut replays_seen = false;
+    let mut replayed = None;
     for attempt in 0u64..5 {
         // Per-frame aggregation: the 20% plan's replay odds are calibrated
         // against per-frame put volume; container batching divides the number
         // of wire ops the plan samples by the batch size. The aggregated
         // replay path is exercised deterministically in `tests/chaos_fabric.rs`.
-        let (_fabric, mut host, mut fleet) = build_with(
+        let (fabric, mut host, mut fleet) = build_with(
             config(policy).with_per_frame_aggregation(),
             Some(FaultPlan::mixed(0.2, 0xFA_B71C + attempt)),
         );
@@ -322,24 +380,57 @@ fn assert_replays_mint_nothing(policy: CreditFlushPolicy) {
         assert!(stats.credit_flushes >= 1);
         assert!(stats.credit_flush_bytes >= stats.credits_returned);
         if stats.replays_suppressed > 0 {
-            replays_seen = true;
+            replayed = Some((fabric, host, fleet));
             break;
         }
     }
-    assert!(
-        replays_seen,
-        "no seed of the 20% mixed plan exercised the replay path"
+    let (fabric, mut host, fleet) =
+        replayed.expect("no seed of the 20% mixed plan exercised the replay path");
+
+    // A clean plan for the redeliveries below: endpoints created after it
+    // see a lossless link, so every stale copy lands exactly once.
+    fabric
+        .install_fault_plan(HostId(0), HostId(1), FaultPlan::drop_only(0.0, 0))
+        .unwrap();
+    let mut raw = fabric.endpoint(HostId(0), HostId(1)).unwrap();
+    // Sequence number 1 is not newer than anything a slot executed over
+    // three rounds: a late duplicate of an already-retired frame.
+    let stale = Frame::local(1, 0xDEAD, vec![0; 20], vec![0; 4]).encode();
+    let total = host.config().total_mailboxes();
+    for bank in 0..host.config().banks {
+        for slot in 0..host.config().mailboxes_per_bank {
+            let target = host.mailbox_target(bank, slot).unwrap();
+            raw.put(SimTime::ZERO, &stale, &target.region, target.offset)
+                .unwrap();
+        }
+    }
+    let before = host.stats();
+    let (drained, rejected) = drain_once(&mut host, drain);
+    assert_eq!(drained, 0, "a replay never executes");
+    assert!(rejected.is_empty(), "{rejected:?}");
+    let stats = host.stats();
+    assert_eq!(
+        (stats.replays_suppressed - before.replays_suppressed) as usize,
+        total
     );
+    assert_eq!(stats.messages_received, before.messages_received);
+    assert_eq!(stats.credits_returned, before.credits_returned);
+    // Every replay re-published a token the sender already spent.
+    assert_eq!(token_census(&host, &fleet), 0);
 }
 
 #[test]
 fn replays_mint_nothing_under_adaptive_flushes() {
-    assert_replays_mint_nothing(CreditFlushPolicy::Adaptive);
+    for drain in [Drain::Burst, Drain::Slots] {
+        assert_replays_mint_nothing(CreditFlushPolicy::Adaptive, drain);
+    }
 }
 
 #[test]
 fn replays_mint_nothing_under_per_frame_flushes() {
-    assert_replays_mint_nothing(CreditFlushPolicy::PerFrame);
+    for drain in [Drain::Burst, Drain::Slots] {
+        assert_replays_mint_nothing(CreditFlushPolicy::PerFrame, drain);
+    }
 }
 
 /// Overwrite mailbox (`bank`, `slot`) with a chained frame whose *primary*
