@@ -114,18 +114,20 @@
 //! # Pipelined fill + drain
 //!
 //! [`SenderFleet::fill_parallel`] runs one OS thread per lane (a barrier-style
-//! parallel fill), and [`drive_pipeline`] goes further: sender threads and
-//! shard-drain threads run *concurrently*, coupled only by the one-sided
-//! credit path — no channels, no shared queues. As each frame retires, the
-//! drain thread puts the slot's next credit token into the paired lane's flag
-//! region; the lane spins/parks on acquire loads of its own region and
-//! refills a slot the moment its token changes — fill and drain genuinely
-//! overlap in wall clock, bounded by the per-slot credit loop instead of a
-//! phase barrier. Results and order-independent runtime counters are
-//! observationally equal to the sequential fill-then-drain schedule (pinned
-//! by `tests/fleet_pipeline.rs`); *time* counters are not comparable, because
-//! the pipelined drain polls its banks repeatedly (each scan charges one
-//! poll) where the phased schedule scans once per round.
+//! parallel fill), and [`drive_pipeline`] overlaps fill and drain. Each lane
+//! runs a `LaneLoop` and each receiver shard a `DrainLoop`: two state machines
+//! whose `step()` does one bounded piece of work (send a group or scan the
+//! credit table; drain one burst). One driver runs every loop on its own
+//! scoped thread, with one abort guard and one idle policy. The loops share
+//! no channel and no queue: as each frame retires, the drain puts the slot's
+//! next credit token into the paired lane's flag region, and the lane refills
+//! the slot once an acquire load sees the token change — fill and drain are
+//! bounded by the per-slot credit loop instead of a phase barrier. Results
+//! and order-independent counters equal the sequential fill-then-drain
+//! schedule's (pinned by `tests/fleet_pipeline.rs`); *time* counters do not,
+//! because the pipelined drain polls its banks once per scan where the phased
+//! schedule scans once per round. Stepped round-robin on one thread, the same
+//! loops run deterministically.
 //!
 //! [`RuntimeConfig::completion_window`]: crate::config::RuntimeConfig::completion_window
 //! [`RuntimeStats::sends_backpressured`]: crate::stats::RuntimeStats::sends_backpressured
@@ -241,6 +243,14 @@ struct CachedBatch {
     members: Vec<usize>,
     /// Target index of the carrier mailbox the container was put into.
     carrier: usize,
+}
+
+/// A cached retransmit unit: the standalone frame of the `idx`-th owned slot,
+/// or the `k`-th cached batch container.
+#[derive(Debug, Clone, Copy)]
+enum Resend {
+    Frame(usize),
+    Batch(usize),
 }
 
 /// One stream's complete sender context: its own [`TwoChainsSender`] (endpoint,
@@ -417,32 +427,22 @@ impl SenderLane {
         self.sender.endpoint_mut().faults_enabled()
     }
 
-    /// Snapshot the wire bytes of the send that just completed into the
-    /// `idx`-th slot's retransmit cache and mark the frame in flight. The
-    /// per-slot buffer is reused, so steady state copies without allocating.
-    fn cache_wire(&mut self, idx: usize) {
-        let wire = self.sender.last_wire();
-        let cached = &mut self.wire_cache[idx];
-        cached.clear();
-        cached.extend_from_slice(wire);
-        self.in_flight[idx] = true;
-    }
-
-    /// Append the next message for owned slot `idx` to the open batch
-    /// container, posting the container first whenever a flush trigger fires:
-    /// bank boundary (inner slots are declared within the carrier's bank),
-    /// batch-fill (`batch_max_frames`), the latency watermark (an open
-    /// container older than `batch_latency_ns` of lane-virtual time), or
-    /// carrier capacity (the container plus this frame would overrun the
-    /// carrier mailbox). A frame too large to batch even alone is posted
-    /// standalone from the already-encoded bytes — byte-identical to a
-    /// per-frame send. Returns the outcome of whichever put this append
-    /// performed, `None` when the frame only accumulated.
+    /// Append `frame`, the encoded message (sequence number `sn`) for owned
+    /// slot `idx`, to the open batch container, posting the container first
+    /// whenever a flush trigger fires: bank boundary (inner slots are declared
+    /// within the carrier's bank), batch-fill (`batch_max_frames`), the
+    /// latency watermark (an open container older than `batch_latency_ns` of
+    /// lane-virtual time), or carrier capacity (the container plus this frame
+    /// would overrun the carrier mailbox). A frame too large to batch even
+    /// alone is posted standalone — byte-identical to a per-frame send.
+    /// Returns the outcome of whichever put this append performed, `None`
+    /// when the frame only accumulated.
     fn append_to_batch(
         &mut self,
         cq: &mut CompletionQueue,
         idx: usize,
-        spec: &MessageSpec,
+        sn: u32,
+        frame: &[u8],
     ) -> AmResult<Option<AmSendOutcome>> {
         let bank = self.targets[idx].bank;
         let mut flushed = None;
@@ -453,44 +453,16 @@ impl SenderLane {
         {
             flushed = self.flush_batch(cq)?;
         }
-        let mut buf = std::mem::take(&mut self.frame_buf);
-        buf.clear();
-        let encoded = self.sender.encode_next(spec, &mut buf);
-        let sn = match encoded {
-            Ok(sn) => sn,
-            Err(e) => {
-                self.frame_buf = buf;
-                return Err(e);
-            }
-        };
         if let Some(carrier) = self.batch_carrier {
-            if self.batch.wire_size_with(buf.len()) > self.targets[carrier].target.capacity {
+            if self.batch.wire_size_with(frame.len()) > self.targets[carrier].target.capacity {
                 flushed = self.flush_batch(cq)?;
             }
         }
         if self.batch_carrier.is_none() {
-            if FrameBatch::new().wire_size_with(buf.len()) > self.targets[idx].target.capacity {
+            if FrameBatch::new().wire_size_with(frame.len()) > self.targets[idx].target.capacity {
                 // Too large for any container over this carrier: send it
                 // standalone (the wire bytes are exactly a per-frame send's).
-                self.harvest_if_full(cq);
-                let sent =
-                    self.sender
-                        .put_frame(self.clock, &buf, &self.targets[idx].target, Some(cq));
-                let sent = match sent {
-                    Ok(sent) => sent,
-                    Err(e) => {
-                        self.frame_buf = buf;
-                        return Err(e);
-                    }
-                };
-                self.clock = sent.sender_free();
-                if self.faults_enabled() {
-                    let cached = &mut self.wire_cache[idx];
-                    cached.clear();
-                    cached.extend_from_slice(&buf);
-                    self.in_flight[idx] = true;
-                }
-                self.frame_buf = buf;
+                let sent = self.post_frame(cq, idx, frame)?;
                 // Keep the later horizon: both puts rode this append.
                 return Ok(match flushed {
                     Some(f) if f.delivered() > sent.delivered() => Some(f),
@@ -501,9 +473,7 @@ impl SenderLane {
             self.batch_bank = Some(bank);
             self.batch_opened = self.clock;
         }
-        let pushed = self.batch.push(self.targets[idx].slot as u16, &buf);
-        self.frame_buf = buf;
-        pushed?;
+        self.batch.push(self.targets[idx].slot as u16, frame)?;
         self.batch_sns.push(sn);
         self.batch_members.push(idx);
         Ok(flushed)
@@ -591,11 +561,7 @@ impl SenderLane {
                     self.in_flight[i] && self.wire_cache[i].get(4..8) == Some(&needle[..])
                 });
                 if let Some(idx) = hit {
-                    self.clock = self.sender.retransmit_frame(
-                        self.clock,
-                        &self.wire_cache[idx],
-                        &self.targets[idx].target,
-                    )?;
+                    self.resend(Resend::Frame(idx))?;
                     retransmitted += 1;
                     continue;
                 }
@@ -603,12 +569,7 @@ impl SenderLane {
                     e.sns.contains(&missing) && e.members.iter().any(|&m| self.in_flight[m])
                 });
                 if let Some(k) = batch_hit {
-                    let entry = &self.batch_cache[k];
-                    self.clock = self.sender.retransmit_frame(
-                        self.clock,
-                        &entry.bytes,
-                        &self.targets[entry.carrier].target,
-                    )?;
+                    self.resend(Resend::Batch(k))?;
                     retransmitted += 1;
                 }
             }
@@ -622,34 +583,31 @@ impl SenderLane {
     /// members are outstanding). Retransmits are byte-identical, so the
     /// receiver's replay filter makes a spuriously early firing harmless (the
     /// duplicate is suppressed and its credit re-published idempotently).
-    fn retransmit_in_flight(&mut self) -> AmResult<usize> {
-        let mut retransmitted = 0usize;
+    fn retransmit_in_flight(&mut self) -> AmResult<()> {
         for idx in 0..self.targets.len() {
             if self.in_flight[idx] && !self.wire_cache[idx].is_empty() {
-                self.clock = self.sender.retransmit_frame(
-                    self.clock,
-                    &self.wire_cache[idx],
-                    &self.targets[idx].target,
-                )?;
-                retransmitted += 1;
+                self.resend(Resend::Frame(idx))?;
             }
         }
         for k in 0..self.batch_cache.len() {
-            let alive = self.batch_cache[k]
-                .members
-                .iter()
-                .any(|&m| self.in_flight[m]);
-            if alive && !self.batch_cache[k].bytes.is_empty() {
-                let entry = &self.batch_cache[k];
-                self.clock = self.sender.retransmit_frame(
-                    self.clock,
-                    &entry.bytes,
-                    &self.targets[entry.carrier].target,
-                )?;
-                retransmitted += 1;
+            let entry = &self.batch_cache[k];
+            if entry.members.iter().any(|&m| self.in_flight[m]) && !entry.bytes.is_empty() {
+                self.resend(Resend::Batch(k))?;
             }
         }
-        Ok(retransmitted)
+        Ok(())
+    }
+
+    /// Re-put one retransmit unit byte-identically from the cache.
+    fn resend(&mut self, unit: Resend) -> AmResult<()> {
+        let (bytes, carrier) = match unit {
+            Resend::Frame(idx) => (&self.wire_cache[idx], idx),
+            Resend::Batch(k) => (&self.batch_cache[k].bytes, self.batch_cache[k].carrier),
+        };
+        self.clock =
+            self.sender
+                .retransmit_frame(self.clock, bytes, &self.targets[carrier].target)?;
+        Ok(())
     }
 
     /// The stream this lane fills (`bank % streams == stream`).
@@ -688,21 +646,18 @@ impl SenderLane {
         }
     }
 
-    /// Send one message to the `idx`-th owned slot, under the lane's
-    /// flow-control window.
-    fn send_slot<F>(
-        &mut self,
-        cq: &mut CompletionQueue,
+    /// The message `make` generates for the `idx`-th owned slot in `round`.
+    fn slot_spec<F>(
+        &self,
+        idx: usize,
         elem: ElementId,
         mode: InvocationMode,
-        idx: usize,
         round: u64,
         make: &F,
-    ) -> AmResult<AmSendOutcome>
+    ) -> MessageSpec
     where
         F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
     {
-        self.harvest_if_full(cq);
         let t = &self.targets[idx];
         debug_assert_eq!(
             t.bank % self.streams,
@@ -711,24 +666,59 @@ impl SenderLane {
             self.stream,
             t.bank
         );
-        let ctx = SlotCtx {
+        let (args, usr) = make(SlotCtx {
             stream: self.stream,
             bank: t.bank,
             slot: t.slot,
             round,
-        };
-        let (args, usr) = make(ctx);
-        let sent = self.sender.send_raw(
-            self.clock,
-            elem,
-            mode,
-            None,
-            &args,
-            &usr,
-            &t.target,
-            Some(cq),
-        )?;
+        });
+        super::spec::spec(elem).mode(mode).args(args).usr(usr)
+    }
+
+    /// The lane's one send path: encode `spec` for the `idx`-th owned slot,
+    /// then append it to the open container (`batch`) or post it as a frame
+    /// of its own. Returns the outcome of the put this performed, `None` when
+    /// the frame only joined the open container.
+    fn send(
+        &mut self,
+        cq: &mut CompletionQueue,
+        idx: usize,
+        spec: &MessageSpec,
+        batch: bool,
+    ) -> AmResult<Option<AmSendOutcome>> {
+        let mut buf = std::mem::take(&mut self.frame_buf);
+        let sent = self.sender.encode_next(spec, &mut buf).and_then(|sn| {
+            if batch {
+                self.append_to_batch(cq, idx, sn, &buf)
+            } else {
+                self.post_frame(cq, idx, &buf).map(Some)
+            }
+        });
+        self.frame_buf = buf;
+        sent
+    }
+
+    /// The lane's one standalone put: post the encoded frame `bytes` into the
+    /// `idx`-th owned slot under the lane's flow-control window. An armed
+    /// lane keeps the bytes for retransmission (the per-slot buffer is
+    /// reused, so steady state copies without allocating).
+    fn post_frame(
+        &mut self,
+        cq: &mut CompletionQueue,
+        idx: usize,
+        bytes: &[u8],
+    ) -> AmResult<AmSendOutcome> {
+        self.harvest_if_full(cq);
+        let sent = self
+            .sender
+            .put_frame(self.clock, bytes, &self.targets[idx].target, Some(cq))?;
         self.clock = sent.sender_free();
+        if self.faults_enabled() {
+            let cached = &mut self.wire_cache[idx];
+            cached.clear();
+            cached.extend_from_slice(bytes);
+            self.in_flight[idx] = true;
+        }
         Ok(sent)
     }
 
@@ -750,21 +740,8 @@ impl SenderLane {
                 self.stream
             ))
         })?;
-        self.harvest_if_full(cq);
-        let chain = spec.chain_descriptor()?;
-        let t = &self.targets[idx];
-        let sent = self.sender.send_raw(
-            self.clock,
-            spec.elem(),
-            spec.invocation(),
-            chain.as_ref(),
-            spec.args_bytes(),
-            spec.usr_bytes(),
-            &t.target,
-            Some(cq),
-        )?;
-        self.clock = sent.sender_free();
-        Ok(sent)
+        let sent = self.send(cq, idx, spec, false)?;
+        Ok(sent.expect("a standalone send always puts"))
     }
 
     /// Fill every owned slot once (round `round`), returning this stream's
@@ -774,7 +751,7 @@ impl SenderLane {
     /// bank-major target walk into batch containers — contiguous same-bank
     /// slots share one put, closed on bank boundary, batch-fill, capacity or
     /// the latency watermark, and unconditionally at the end of the round
-    /// (the burst boundary). `PerFrame` runs the per-slot sends untouched.
+    /// (the burst boundary). `PerFrame` puts each slot's frame on its own.
     pub fn fill<F>(
         &mut self,
         cq: &mut CompletionQueue,
@@ -787,24 +764,9 @@ impl SenderLane {
         F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
     {
         let mut horizon = SimTime::ZERO;
-        if !self.aggregating() {
-            for idx in 0..self.targets.len() {
-                let sent = self.send_slot(cq, elem, mode, idx, round, make)?;
-                horizon = horizon.max(sent.delivered());
-            }
-            return Ok(horizon);
-        }
         for idx in 0..self.targets.len() {
-            let t = &self.targets[idx];
-            let ctx = SlotCtx {
-                stream: self.stream,
-                bank: t.bank,
-                slot: t.slot,
-                round,
-            };
-            let (args, usr) = make(ctx);
-            let spec = super::spec::spec(elem).mode(mode).args(args).usr(usr);
-            if let Some(sent) = self.append_to_batch(cq, idx, &spec)? {
+            let spec = self.slot_spec(idx, elem, mode, round, make);
+            if let Some(sent) = self.send(cq, idx, &spec, self.aggregating())? {
                 horizon = horizon.max(sent.delivered());
             }
         }
@@ -1034,7 +996,7 @@ impl SenderFleet {
     /// Returns the number harvested across the fleet.
     pub fn harvest_completions(&mut self) -> usize {
         let mut harvested = 0usize;
-        for (lane, cq) in self.lanes.iter_mut().zip(self.completions.queues_mut()) {
+        for (lane, cq) in self.lanes_mut() {
             while cq.outstanding() > 0 {
                 let horizon = cq.earliest_ready(lane.clock);
                 let (done, cost) = cq.poll(horizon);
@@ -1046,12 +1008,17 @@ impl SenderFleet {
         harvested
     }
 
+    /// Every lane paired with its own completion queue.
+    pub(crate) fn lanes_mut(
+        &mut self,
+    ) -> impl Iterator<Item = (&mut SenderLane, &mut CompletionQueue)> {
+        self.lanes.iter_mut().zip(self.completions.queues_mut())
+    }
+
     /// Split the fleet into one independently movable [`FleetLane`] per stream
     /// (lane + its own completion queue), for caller-managed threading.
     pub fn handles(&mut self) -> Vec<FleetLane<'_>> {
-        self.lanes
-            .iter_mut()
-            .zip(self.completions.queues_mut())
+        self.lanes_mut()
             .map(|(lane, completions)| FleetLane { lane, completions })
             .collect()
     }
@@ -1069,9 +1036,7 @@ impl SenderFleet {
     where
         F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
     {
-        self.lanes
-            .iter_mut()
-            .zip(self.completions.queues_mut())
+        self.lanes_mut()
             .map(|(lane, cq)| lane.fill(cq, elem, mode, round, make))
             .collect()
     }
@@ -1093,9 +1058,7 @@ impl SenderFleet {
     {
         let results: Vec<AmResult<SimTime>> = std::thread::scope(|s| {
             let handles: Vec<_> = self
-                .lanes
-                .iter_mut()
-                .zip(self.completions.queues_mut())
+                .lanes_mut()
                 .map(|(lane, cq)| s.spawn(move || lane.fill(cq, elem, mode, round, make)))
                 .collect();
             handles
@@ -1137,14 +1100,371 @@ pub struct PipelineOutcome {
     pub rejected: usize,
 }
 
-/// Run `rounds` full fill+drain cycles with fill and drain overlapping in wall
-/// clock: one sender thread per lane, one drain thread per receiver shard,
-/// coupled *only* by the one-sided credit path — as each frame retires, the
-/// drain's burst engine puts the slot's next credit token into the paired
-/// lane's flag region ([`BankFlags`]), and the lane spins/parks on acquire
-/// loads of its own region until a refillable slot's token changes. No
-/// channels, no shared queues: flow control is fabric traffic, charged in
-/// virtual time on both the drain core (posting) and the wire/DMA models.
+/// What one [`LaneLoop::step`] or [`DrainLoop::step`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Sent, drained or took a credit.
+    Progress,
+    /// Found nothing to do: the caller may idle before the next step.
+    Idle,
+    /// This side's share of the run is complete.
+    Done,
+}
+
+/// An armed lane's retransmit timer, on wall-clock [`Instant`]s: when a
+/// stall sees neither a credit nor a NACK for one clamped-Fibonacci backoff
+/// interval, every in-flight frame is retransmitted from the wire cache, on
+/// a budget of [`RETRY_BUDGET`] firings per stall.
+#[derive(Debug)]
+struct Watchdog {
+    backoff: ClampedFibonacci,
+    deadline: Instant,
+    budget: u32,
+}
+
+impl Watchdog {
+    fn new() -> Self {
+        let mut dog = Watchdog {
+            backoff: ClampedFibonacci::new(WATCHDOG_BASE, WATCHDOG_CLAMP),
+            deadline: Instant::now(),
+            budget: RETRY_BUDGET,
+        };
+        dog.push_back();
+        dog
+    }
+
+    /// Start the next backoff interval now.
+    fn push_back(&mut self) {
+        self.deadline = Instant::now() + self.backoff.next_delay();
+    }
+
+    /// Progress: the next stall is a fresh episode with the full budget.
+    fn reset(&mut self) {
+        self.backoff.reset();
+        self.budget = RETRY_BUDGET;
+        self.push_back();
+    }
+
+    /// Whether the deadline has passed. A firing spends one unit of budget
+    /// and starts the next interval; once the budget is spent the lane fails.
+    fn fire(&mut self, stream: usize) -> AmResult<bool> {
+        if Instant::now() < self.deadline {
+            return Ok(false);
+        }
+        if self.budget == 0 {
+            return Err(AmError::Exec(format!(
+                "lane {stream} exhausted its {RETRY_BUDGET}-retry reliability budget: \
+                 frames are being lost faster than the retransmit path can recover them"
+            )));
+        }
+        self.budget -= 1;
+        self.push_back();
+        Ok(true)
+    }
+}
+
+/// One lane's side of [`drive_pipeline`]: fill each owned slot `rounds`
+/// times, refilling a slot only once its credit is back. The lane is passed
+/// to each step, so the loop runs on a thread of its own or interleaved with
+/// the drains on one thread alike.
+pub(crate) struct LaneLoop<'m, F> {
+    elem: ElementId,
+    mode: InvocationMode,
+    rounds: u64,
+    make: &'m F,
+    /// Frames sent so far per owned slot (the next frame's round).
+    rounds_sent: Vec<u64>,
+    /// Slots holding a credit, in the order the scans found them.
+    free: VecDeque<usize>,
+    /// Frames still to send in the whole run.
+    unsent: usize,
+    /// Where the next credit scan starts: past the last scan's first refill,
+    /// so every slot gets its turn.
+    cursor: usize,
+    /// Whether this stall episode is in `credit_stall_events` already.
+    stalled: bool,
+    /// Present on armed lanes only.
+    watchdog: Option<Watchdog>,
+}
+
+impl<'m, F> LaneLoop<'m, F>
+where
+    F: Fn(SlotCtx) -> (Vec<u8>, Vec<u8>),
+{
+    /// Prepare `lane` for a run. Credits and NACK records left by earlier
+    /// phased schedules (which consume none) are stale: every slot starts
+    /// free.
+    pub(crate) fn start(
+        lane: &mut SenderLane,
+        elem: ElementId,
+        mode: InvocationMode,
+        rounds: usize,
+        make: &'m F,
+    ) -> AmResult<Self> {
+        lane.sync_credits()?;
+        lane.in_flight.iter_mut().for_each(|f| *f = false);
+        let slots = lane.slots();
+        Ok(LaneLoop {
+            elem,
+            mode,
+            rounds: rounds as u64,
+            make,
+            rounds_sent: vec![0; slots],
+            free: (0..slots).collect(),
+            unsent: rounds * slots,
+            cursor: 0,
+            stalled: false,
+            // The sender half of the reliability layer is armed only when the
+            // lane's endpoint carries a fault plan: on a pristine link no wire
+            // bytes are cached, no NACK row is polled and no watchdog fires.
+            watchdog: lane.faults_enabled().then(Watchdog::new),
+        })
+    }
+
+    /// With a slot free, send its same-bank group and flush the container.
+    /// Otherwise make one credit scan; if it finds nothing, an armed lane
+    /// polls its NACKs and runs the watchdog. `Done` once every frame is
+    /// sent and, on an armed lane, every final credit has landed.
+    pub(crate) fn step(
+        &mut self,
+        lane: &mut SenderLane,
+        cq: &mut CompletionQueue,
+    ) -> AmResult<Step> {
+        if let Some(idx) = self.free.pop_front() {
+            self.send_group(lane, cq, idx)?;
+            self.stalled = false;
+            return Ok(self.progress());
+        }
+        if self.unsent == 0 && !lane.in_flight.contains(&true) {
+            return Ok(Step::Done);
+        }
+        if self.scan(lane)? {
+            return Ok(self.progress());
+        }
+        if self.unsent > 0 && !self.stalled {
+            lane.sender.stats_mut().credit_stall_events += 1;
+            self.stalled = true;
+        }
+        if let Some(dog) = &mut self.watchdog {
+            // A NACK names a lost frame precisely and retransmits it at
+            // once, so the coarser timeout is pushed back.
+            if lane.poll_nacks()? > 0 {
+                dog.push_back();
+            }
+            if dog.fire(lane.stream)? {
+                lane.retransmit_in_flight()?;
+            }
+        }
+        Ok(Step::Idle)
+    }
+
+    fn progress(&mut self) -> Step {
+        if let Some(dog) = &mut self.watchdog {
+            dog.reset();
+        }
+        Step::Progress
+    }
+
+    /// Send the next round to slot `idx`. An aggregating lane takes every
+    /// free slot of the same bank along, up to the batch-fill bound, so one
+    /// coalesced credit span refilling a row turns into one put. The flush
+    /// closes the burst: no frame may sit unpublished while the lane waits.
+    fn send_group(
+        &mut self,
+        lane: &mut SenderLane,
+        cq: &mut CompletionQueue,
+        idx: usize,
+    ) -> AmResult<()> {
+        let mut group = vec![idx];
+        if lane.aggregating() {
+            let bank = lane.targets[idx].bank;
+            self.free.retain(|&j| {
+                let joins = group.len() < lane.batch_max_frames && lane.targets[j].bank == bank;
+                if joins {
+                    group.push(j);
+                }
+                !joins
+            });
+        }
+        for j in group {
+            let spec = lane.slot_spec(j, self.elem, self.mode, self.rounds_sent[j], self.make);
+            lane.send(cq, j, &spec, lane.aggregating())?;
+            self.rounds_sent[j] += 1;
+            self.unsent -= 1;
+        }
+        lane.flush_batch(cq)?;
+        Ok(())
+    }
+
+    /// One round-robin credit scan from the cursor: over the slots that still
+    /// owe rounds while frames remain to send, then over the slots whose
+    /// final frame is in flight (only armed lanes mark frames in flight).
+    /// One coalesced credit flush can refill several slots; all refills but
+    /// the first count in `credit_refills_coalesced`. Returns whether any
+    /// credit was taken.
+    fn scan(&mut self, lane: &mut SenderLane) -> AmResult<bool> {
+        let slots = self.rounds_sent.len();
+        let sending = self.unsent > 0;
+        let mut taken = 0u64;
+        let mut cursor = self.cursor;
+        for step in 0..slots {
+            let i = (self.cursor + step) % slots;
+            let due = if sending {
+                self.rounds_sent[i] < self.rounds
+            } else {
+                lane.in_flight[i]
+            };
+            if due && lane.try_acquire_slot(i)? {
+                // The credit retires the frame in flight on this slot.
+                lane.in_flight[i] = false;
+                if taken == 0 {
+                    cursor = (i + 1) % slots;
+                }
+                taken += 1;
+                if sending {
+                    self.free.push_back(i);
+                }
+            }
+        }
+        self.cursor = cursor;
+        if sending {
+            lane.sender.stats_mut().credit_refills_coalesced += taken.saturating_sub(1);
+        }
+        Ok(taken > 0)
+    }
+}
+
+/// One shard's side of [`drive_pipeline`]: burst-drain the shard until it
+/// has executed every frame its paired lane sends. The burst engine puts
+/// each retired slot's credit back itself.
+#[derive(Default)]
+pub(crate) struct DrainLoop {
+    want: usize,
+    results: Vec<PipelineFrame>,
+    rejected: usize,
+    clock: SimTime,
+    idle_scans: usize,
+}
+
+impl DrainLoop {
+    pub(crate) fn new(want: usize) -> Self {
+        let results = Vec::with_capacity(want);
+        DrainLoop {
+            want,
+            results,
+            ..Self::default()
+        }
+    }
+
+    /// One `receive_burst`, its frames collected into the results.
+    ///
+    /// The quota counts *executed* frames only. A frame torn by an in-flight
+    /// fault is rejected (its credit returns at once), then usually comes
+    /// back: its sequence gap ages out of the scan-jumble watcher, the NACK
+    /// reaches the paired lane, and the retransmit drains like any other
+    /// frame. Counting the rejection would end the drain one retirement
+    /// early, stranding the final round's credits. When the tear hits the
+    /// run's tail the lane may have exited already (no credit is owed), so
+    /// once rejections account for every outstanding frame, a bounded run of
+    /// empty scans retires the gap as lost instead of spinning.
+    pub(crate) fn step(&mut self, drain: &mut super::ShardDrain<'_>) -> AmResult<Step> {
+        const GIVE_UP_SCANS: usize = 512;
+        if self.results.len() >= self.want {
+            return Ok(Step::Done);
+        }
+        let out = drain.receive_burst(usize::MAX, self.clock)?;
+        if out.is_empty() {
+            if self.results.len() + self.rejected >= self.want {
+                self.idle_scans += 1;
+                if self.idle_scans >= GIVE_UP_SCANS {
+                    return Ok(Step::Done);
+                }
+            }
+            return Ok(Step::Idle);
+        }
+        self.idle_scans = 0;
+        self.clock = out.drained_at;
+        self.results
+            .extend(out.frames.iter().map(|f| PipelineFrame {
+                bank: f.bank,
+                slot: f.slot,
+                result: f.outcome.result,
+            }));
+        self.rejected += out.rejected.len();
+        Ok(Step::Progress)
+    }
+
+    /// The drained frames and the rejection count.
+    pub(crate) fn finish(self) -> (Vec<PipelineFrame>, usize) {
+        (self.results, self.rejected)
+    }
+}
+
+/// Why a pipeline side stopped before finishing.
+enum Stop {
+    /// The side's own error: the root cause the pipeline reports.
+    Failed(AmError),
+    /// Released by the abort flag because the other side failed.
+    Released,
+}
+
+/// Fruitless steps a parking side only yields for (credits normally arrive
+/// within a burst) before it parks for [`PARK`] between steps.
+const SPIN_SCANS: u32 = 128;
+const PARK: Duration = Duration::from_micros(20);
+
+/// The thread driver both sides run on: call `step` until it returns
+/// `Done`, idling after each fruitless step. The lane parks (`park`), so a
+/// stalled lane on an oversubscribed host stops stealing quanta from the
+/// drain threads it waits on; the drain only yields. A failing or panicking
+/// side raises `abort` (the guard fires on unwinding too), and an idle side
+/// that sees it leaves with [`Stop::Released`]: a dead lane leaves its drain
+/// an unreachable quota, a dead drain leaves its lane waiting for credits
+/// that will never be put, and `thread::scope` must not block on either.
+fn drive(
+    abort: &AtomicBool,
+    park: bool,
+    mut step: impl FnMut() -> AmResult<Step>,
+) -> Result<(), Stop> {
+    struct AbortOnDrop<'a>(&'a AtomicBool);
+    impl Drop for AbortOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let guard = AbortOnDrop(abort);
+    let mut fruitless = 0u32;
+    loop {
+        match step().map_err(Stop::Failed)? {
+            Step::Done => {
+                // Everything this side owed the other is delivered, so the
+                // other side can finish on its own.
+                std::mem::forget(guard);
+                return Ok(());
+            }
+            Step::Progress => fruitless = 0,
+            Step::Idle => {
+                if abort.load(Ordering::Relaxed) {
+                    return Err(Stop::Released);
+                }
+                fruitless = fruitless.saturating_add(1);
+                if park && fruitless >= SPIN_SCANS {
+                    std::thread::sleep(PARK);
+                } else {
+                    std::thread::yield_now();
+                }
+            }
+        }
+    }
+}
+
+/// Run `rounds` full fill+drain cycles with fill and drain overlapping in
+/// wall clock: each sender lane runs a `LaneLoop` and each receiver shard a
+/// `DrainLoop`, every loop on its own scoped thread under one driver, coupled
+/// *only* by the one-sided credit path ([`BankFlags`]; see the module docs).
+/// Flow control is fabric traffic, charged in virtual time on both the drain
+/// core (posting) and the wire/DMA models. If a side fails, the others are
+/// released and the failed side's own error is returned.
 ///
 /// Requires `fleet.lane_count() == host.num_shards()` *and* the credit path
 /// installed — both guaranteed by construction for a fleet connected with
@@ -1191,392 +1511,64 @@ where
             )));
         }
     }
+    let mut outcome = PipelineOutcome {
+        results: Vec::new(),
+        drained: 0,
+        rejected: 0,
+    };
     if rounds == 0 {
-        return Ok(PipelineOutcome {
-            results: Vec::new(),
-            drained: 0,
-            rejected: 0,
-        });
+        return Ok(outcome);
     }
-    let lane_slots: Vec<usize> = fleet.lanes.iter().map(|l| l.targets.len()).collect();
-    // Raised when either side fails: a dead sender leaves the drains with an
-    // unreachable frame quota, a dead drain leaves the lanes spinning on
-    // credits that will never be put — whichever side is still alive bails
-    // out instead of spinning forever.
+    let mut lane_loops = fleet
+        .lanes
+        .iter_mut()
+        .map(|lane| LaneLoop::start(lane, elem, mode, rounds, make))
+        .collect::<AmResult<Vec<_>>>()?;
     let abort = AtomicBool::new(false);
     let abort = &abort;
-    // Arms the abort flag against *unwinding* too: a panic in the payload
-    // generator (or anywhere in either loop) must release the other side, or
-    // `thread::scope` would block on it forever instead of propagating the
-    // panic. Defused with `mem::forget` on clean completion.
-    struct AbortOnDrop<'a>(&'a AtomicBool);
-    impl Drop for AbortOnDrop<'_> {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
-
-    std::thread::scope(|scope| -> AmResult<PipelineOutcome> {
-        let drain_handles: Vec<_> = host
+    std::thread::scope(|scope| {
+        let drains: Vec<_> = host
             .shard_drains()
             .into_iter()
             .map(|mut drain| {
-                let want = rounds * lane_slots[drain.shard_id()];
-                scope.spawn(move || -> AmResult<(Vec<PipelineFrame>, usize)> {
-                    let guard = AbortOnDrop(abort);
-                    let result = (|| -> AmResult<(Vec<PipelineFrame>, usize)> {
-                        let mut results = Vec::with_capacity(want);
-                        let mut rejected = 0usize;
-                        let mut clock = SimTime::ZERO;
-                        // The quota counts *executed* frames only. A frame
-                        // torn by an in-flight fault is rejected (its credit
-                        // returns immediately), then usually comes back: its
-                        // sequence gap ages out of the scan-jumble watcher,
-                        // the coalesced NACK reaches the paired lane, and the
-                        // retransmit drains like any other frame. Counting
-                        // the rejection against the quota would end the drain
-                        // one retirement early when that recovery lands,
-                        // stranding the final round's credits and starving
-                        // the lane. When the tear hits the run's tail the
-                        // lane may already have exited (no credit is owed),
-                        // so once every outstanding frame is accounted for
-                        // by a rejection, a bounded run of empty scans
-                        // retires the gap as lost instead of spinning.
-                        const GIVE_UP_SCANS: usize = 512;
-                        let mut idle_scans = 0usize;
-                        while results.len() < want {
-                            // Credits for everything this burst retires are
-                            // put back inside the burst engine itself, the
-                            // moment each slot is clear.
-                            let out = drain.receive_burst(usize::MAX, clock)?;
-                            if out.is_empty() {
-                                if abort.load(Ordering::Relaxed) {
-                                    return Err(AmError::Exec(
-                                        "pipeline aborted: a sender lane failed".into(),
-                                    ));
-                                }
-                                if results.len() + rejected >= want {
-                                    idle_scans += 1;
-                                    if idle_scans >= GIVE_UP_SCANS {
-                                        break;
-                                    }
-                                }
-                                std::thread::yield_now();
-                                continue;
-                            }
-                            idle_scans = 0;
-                            clock = out.drained_at;
-                            for f in &out.frames {
-                                results.push(PipelineFrame {
-                                    bank: f.bank,
-                                    slot: f.slot,
-                                    result: f.outcome.result,
-                                });
-                            }
-                            rejected += out.rejected.len();
-                        }
-                        Ok((results, rejected))
-                    })();
-                    if result.is_ok() {
-                        // Clean completion: every credit this shard owed is in
-                        // the lane's table, so the paired lane can finish on
-                        // its own — don't trip the abort.
-                        std::mem::forget(guard);
-                    }
-                    result
+                let mut side = DrainLoop::new(lane_loops[drain.shard_id()].unsent);
+                scope.spawn(move || {
+                    drive(abort, false, || side.step(&mut drain)).map(|()| side.finish())
                 })
             })
             .collect();
-
-        let sender_handles: Vec<_> = fleet
-            .lanes
-            .iter_mut()
-            .zip(fleet.completions.queues_mut())
-            .map(|(lane, cq)| {
-                scope.spawn(move || -> AmResult<()> {
-                    let guard = AbortOnDrop(abort);
-                    let result = (|| -> AmResult<()> {
-                        let slots = lane.targets.len();
-                        let total = rounds * slots;
-                        // Discard credits (and NACK records) left over from
-                        // earlier phased schedules (they consume none): every
-                        // slot starts empty, so round 0 needs no credit and
-                        // anything pending in the tables is stale.
-                        lane.sync_credits()?;
-                        // The sender half of the reliability layer is armed
-                        // only when this lane's endpoint carries a fault
-                        // plan: on a pristine link no wire bytes are cached,
-                        // no NACK row is polled and no watchdog ever fires.
-                        let armed = lane.faults_enabled();
-                        lane.in_flight.iter_mut().for_each(|f| *f = false);
-                        let mut rounds_sent = vec![0u64; slots];
-                        let mut free: VecDeque<usize> = (0..slots).collect();
-                        let mut sent = 0usize;
-                        let mut cursor = 0usize;
-                        while sent < total {
-                            let idx = match free.pop_front() {
-                                Some(idx) => idx,
-                                None => {
-                                    // Spin, then park, on acquire loads of
-                                    // this lane's own flag region:
-                                    // round-robin over the slots that still
-                                    // owe rounds until one's token changes.
-                                    // The first SPIN_SCANS fruitless passes
-                                    // only yield (credits normally arrive
-                                    // within a burst); after that the lane
-                                    // parks briefly between polls so a
-                                    // stalled lane on an oversubscribed host
-                                    // stops stealing quanta from the very
-                                    // drain threads it is waiting on.
-                                    const SPIN_SCANS: u32 = 128;
-                                    const PARK: std::time::Duration =
-                                        std::time::Duration::from_micros(20);
-                                    let mut fruitless = 0u32;
-                                    // Watchdog state for this stall episode
-                                    // (armed lanes only): if neither a credit
-                                    // nor a NACK shows up for a clamped-
-                                    // Fibonacci backoff interval, every
-                                    // in-flight frame is retransmitted from
-                                    // the wire cache, on a bounded budget.
-                                    let mut backoff =
-                                        ClampedFibonacci::new(WATCHDOG_BASE, WATCHDOG_CLAMP);
-                                    let mut deadline = Instant::now() + backoff.next_delay();
-                                    let mut budget = RETRY_BUDGET;
-                                    'wait: loop {
-                                        // One coalesced credit flush can
-                                        // refill several of this lane's slots
-                                        // at once: harvest *every* token the
-                                        // scan finds, send on the first and
-                                        // queue the rest, so one wakeup never
-                                        // costs more spin episodes than the
-                                        // flush that caused it.
-                                        let mut first: Option<usize> = None;
-                                        for step in 0..slots {
-                                            let i = (cursor + step) % slots;
-                                            if (rounds_sent[i] as usize) < rounds
-                                                && lane.try_acquire_slot(i)?
-                                            {
-                                                // The credit retires the
-                                                // frame in flight on this
-                                                // slot: the wire cache entry
-                                                // is now dead weight, not a
-                                                // retransmit candidate.
-                                                lane.in_flight[i] = false;
-                                                if first.is_none() {
-                                                    first = Some(i);
-                                                    cursor = (i + 1) % slots;
-                                                } else {
-                                                    free.push_back(i);
-                                                    lane.sender
-                                                        .stats_mut()
-                                                        .credit_refills_coalesced += 1;
-                                                }
-                                            }
-                                        }
-                                        if let Some(i) = first {
-                                            break 'wait i;
-                                        }
-                                        if abort.load(Ordering::Relaxed) {
-                                            return Err(AmError::Exec(
-                                                "pipeline aborted: a drain shard failed \
-                                                 before returning all credits"
-                                                    .into(),
-                                            ));
-                                        }
-                                        if armed {
-                                            // A NACK names a lost frame
-                                            // precisely — retransmit it now
-                                            // and push the (coarser) timeout
-                                            // watchdog back.
-                                            if lane.poll_nacks()? > 0 {
-                                                deadline = Instant::now() + backoff.next_delay();
-                                            }
-                                            if Instant::now() >= deadline {
-                                                if budget == 0 {
-                                                    return Err(AmError::Exec(format!(
-                                                        "lane {} exhausted its {RETRY_BUDGET}\
-                                                         -retry reliability budget: frames \
-                                                         are being lost faster than the \
-                                                         retransmit path can recover them",
-                                                        lane.stream
-                                                    )));
-                                                }
-                                                budget -= 1;
-                                                lane.retransmit_in_flight()?;
-                                                deadline = Instant::now() + backoff.next_delay();
-                                            }
-                                        }
-                                        if fruitless == 0 {
-                                            // One stall *episode*, however many
-                                            // fruitless polls it takes.
-                                            lane.sender.stats_mut().credit_stall_events += 1;
-                                        }
-                                        fruitless = fruitless.saturating_add(1);
-                                        if fruitless < SPIN_SCANS {
-                                            std::thread::yield_now();
-                                        } else {
-                                            std::thread::sleep(PARK);
-                                        }
-                                    }
-                                }
-                            };
-                            if lane.aggregating() {
-                                // Opportunistic grouping: every already-free
-                                // slot of the same bank rides this container
-                                // (their credits are in hand), up to the
-                                // batch-fill bound — one coalesced credit
-                                // span refilling a row turns into one put.
-                                let bank = lane.targets[idx].bank;
-                                let mut group = vec![idx];
-                                let mut rest = VecDeque::with_capacity(free.len());
-                                while let Some(j) = free.pop_front() {
-                                    if group.len() < lane.batch_max_frames
-                                        && lane.targets[j].bank == bank
-                                    {
-                                        group.push(j);
-                                    } else {
-                                        rest.push_back(j);
-                                    }
-                                }
-                                free = rest;
-                                for j in group {
-                                    let t = &lane.targets[j];
-                                    let ctx = SlotCtx {
-                                        stream: lane.stream,
-                                        bank: t.bank,
-                                        slot: t.slot,
-                                        round: rounds_sent[j],
-                                    };
-                                    let (args, usr) = make(ctx);
-                                    let spec =
-                                        super::spec::spec(elem).mode(mode).args(args).usr(usr);
-                                    lane.append_to_batch(cq, j, &spec)?;
-                                    rounds_sent[j] += 1;
-                                    sent += 1;
-                                }
-                                // Burst boundary: the lane goes back to
-                                // waiting on credits next — frames must not
-                                // sit unpublished across a wait.
-                                lane.flush_batch(cq)?;
-                            } else {
-                                lane.send_slot(cq, elem, mode, idx, rounds_sent[idx], make)?;
-                                if armed {
-                                    lane.cache_wire(idx);
-                                }
-                                rounds_sent[idx] += 1;
-                                sent += 1;
-                            }
-                        }
-                        if armed {
-                            // Every frame is sent, but the last one per slot
-                            // may still be in flight — and on a lossy link
-                            // "in flight" can mean "gone". A lossless lane
-                            // exits after its last put (the drain side owes
-                            // it nothing it will act on), but an armed lane
-                            // must hold the retransmit machinery open until
-                            // every final credit lands, or a dropped final
-                            // frame would deadlock the drain with no sender
-                            // left to repair it.
-                            const PARK: std::time::Duration = std::time::Duration::from_micros(20);
-                            let mut fruitless = 0u32;
-                            let mut backoff = ClampedFibonacci::new(WATCHDOG_BASE, WATCHDOG_CLAMP);
-                            let mut deadline = Instant::now() + backoff.next_delay();
-                            let mut budget = RETRY_BUDGET;
-                            while lane.in_flight.iter().any(|&f| f) {
-                                let mut progressed = false;
-                                for i in 0..slots {
-                                    if lane.in_flight[i] && lane.try_acquire_slot(i)? {
-                                        lane.in_flight[i] = false;
-                                        progressed = true;
-                                    }
-                                }
-                                if progressed {
-                                    backoff.reset();
-                                    deadline = Instant::now() + backoff.next_delay();
-                                    budget = RETRY_BUDGET;
-                                    fruitless = 0;
-                                    continue;
-                                }
-                                if abort.load(Ordering::Relaxed) {
-                                    return Err(AmError::Exec(
-                                        "pipeline aborted: a drain shard failed \
-                                         before returning all credits"
-                                            .into(),
-                                    ));
-                                }
-                                if lane.poll_nacks()? > 0 {
-                                    deadline = Instant::now() + backoff.next_delay();
-                                }
-                                if Instant::now() >= deadline {
-                                    if budget == 0 {
-                                        return Err(AmError::Exec(format!(
-                                            "lane {} exhausted its {RETRY_BUDGET}-retry \
-                                             reliability budget waiting for its final \
-                                             credits",
-                                            lane.stream
-                                        )));
-                                    }
-                                    budget -= 1;
-                                    lane.retransmit_in_flight()?;
-                                    deadline = Instant::now() + backoff.next_delay();
-                                }
-                                fruitless = fruitless.saturating_add(1);
-                                if fruitless < 128 {
-                                    std::thread::yield_now();
-                                } else {
-                                    std::thread::sleep(PARK);
-                                }
-                            }
-                        }
-                        Ok(())
-                    })();
-                    if result.is_ok() {
-                        // Clean completion: every frame this lane owed is in
-                        // its mailbox, so the paired drain can finish on its
-                        // own — don't trip the abort.
-                        std::mem::forget(guard);
-                    }
-                    result
-                })
+        let lanes: Vec<_> = fleet
+            .lanes_mut()
+            .zip(&mut lane_loops)
+            .map(|((lane, cq), side)| {
+                scope.spawn(move || drive(abort, true, || side.step(lane, cq)))
             })
             .collect();
 
-        // Join *both* sides before reporting: after an abort, one side holds
-        // the root-cause error and the other holds only the secondary
-        // "pipeline aborted: ..." it raised when released, and either side
-        // may be the one that actually failed (a lane's send, or a drain's
-        // dispatch/credit put).
-        let mut errors: Vec<AmError> = Vec::new();
-        for h in sender_handles {
-            if let Err(e) = h.join().expect("sender lane thread panicked") {
-                errors.push(e);
+        // Join both sides before reporting: either may hold the root cause
+        // (a lane's send, or a drain's dispatch or credit put). A side is
+        // released only after the other failed, or panicked, which its join
+        // re-raises, so a released side never ends a run reported as a
+        // success.
+        let mut failure = None;
+        for h in lanes {
+            if let Err(Stop::Failed(e)) = h.join().expect("sender lane thread panicked") {
+                failure.get_or_insert(e);
             }
         }
-        let mut results = Vec::new();
-        let mut rejected = 0usize;
-        for h in drain_handles {
+        for h in drains {
             match h.join().expect("drain thread panicked") {
-                Ok((r, rej)) => {
-                    results.extend(r);
-                    rejected += rej;
+                Ok((results, rejected)) => {
+                    outcome.results.extend(results);
+                    outcome.rejected += rejected;
                 }
-                Err(e) => errors.push(e),
+                Err(Stop::Failed(e)) => {
+                    failure.get_or_insert(e);
+                }
+                Err(Stop::Released) => {}
             }
         }
-        if !errors.is_empty() {
-            // Surface the root cause, not a released thread's abort notice
-            // (the only errors prefixed "pipeline aborted" are the ones this
-            // function itself raises on the released side).
-            let root = errors
-                .iter()
-                .position(|e| !matches!(e, AmError::Exec(m) if m.starts_with("pipeline aborted")))
-                .unwrap_or(0);
-            return Err(errors.swap_remove(root));
-        }
-        Ok(PipelineOutcome {
-            drained: results.len(),
-            results,
-            rejected,
-        })
+        outcome.drained = outcome.results.len();
+        failure.map_or(Ok(outcome), Err)
     })
 }

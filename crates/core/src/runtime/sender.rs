@@ -20,7 +20,7 @@ use super::AmSendOutcome;
 use crate::builtin::BuiltinJam;
 use crate::config::InvocationMode;
 use crate::error::{AmError, AmResult};
-use crate::frame::{encode_wire_into, ChainDescriptor, Frame, BATCH_OVERHEAD, BATCH_PREFIX_SIZE};
+use crate::frame::{encode_wire_into, Frame, BATCH_OVERHEAD, BATCH_PREFIX_SIZE};
 use crate::mailbox::MailboxTarget;
 use crate::stats::RuntimeStats;
 
@@ -189,17 +189,7 @@ impl TwoChainsSender {
                     .into(),
             ));
         }
-        let chain = spec.chain_descriptor()?;
-        self.send_raw(
-            now,
-            spec.elem(),
-            spec.invocation(),
-            chain.as_ref(),
-            spec.args_bytes(),
-            spec.usr_bytes(),
-            target,
-            None,
-        )
+        self.send_encoded(now, spec, target, None)
     }
 
     /// [`TwoChainsSender::send_spec`] with software completion tracking: the
@@ -216,76 +206,31 @@ impl TwoChainsSender {
         target: &MailboxTarget,
         cq: &mut CompletionQueue,
     ) -> AmResult<AmSendOutcome> {
-        let chain = spec.chain_descriptor()?;
-        self.send_raw(
-            now,
-            spec.elem(),
-            spec.invocation(),
-            chain.as_ref(),
-            spec.args_bytes(),
-            spec.usr_bytes(),
-            target,
-            Some(cq),
-        )
+        self.send_encoded(now, spec, target, Some(cq))
     }
 
-    /// The single allocation-free send core every path funnels through:
-    /// validate, stamp the next sequence number, encode into the parked
-    /// scratch buffer, put (completion-tracked through `cq` when given).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn send_raw(
+    /// The allocation-free send core of both: encode `spec` into the parked
+    /// scratch buffer ([`TwoChainsSender::encode_next`]), then put it
+    /// (completion-tracked through `cq` when given).
+    fn send_encoded(
         &mut self,
         now: SimTime,
-        elem: ElementId,
-        mode: InvocationMode,
-        chain: Option<&ChainDescriptor>,
-        args: &[u8],
-        usr: &[u8],
+        spec: &MessageSpec,
         target: &MailboxTarget,
         cq: Option<&mut CompletionQueue>,
     ) -> AmResult<AmSendOutcome> {
-        crate::frame::validate_section_lens(&[], &[], args, usr)?;
-        self.sn = self.sn.wrapping_add(1);
-        let sn = self.sn;
         let mut buf = std::mem::take(&mut self.encode_buf);
         let result = self
-            .encode_message(sn, elem, mode, chain, args, usr, &mut buf)
-            .and_then(|()| self.put_frame(now, &buf, target, cq));
+            .encode_next(spec, &mut buf)
+            .and_then(|_| self.put_frame(now, &buf, target, cq));
         self.encode_buf = buf;
         result
     }
 
-    /// Encode one message into `buf` (the fallible half of
-    /// [`TwoChainsSender::send_raw`], factored out so `?` can unwind it
-    /// while the scratch buffer is parked outside `self`).
-    #[allow(clippy::too_many_arguments)]
-    fn encode_message(
-        &mut self,
-        sn: u32,
-        elem: ElementId,
-        mode: InvocationMode,
-        chain: Option<&ChainDescriptor>,
-        args: &[u8],
-        usr: &[u8],
-        buf: &mut Vec<u8>,
-    ) -> AmResult<()> {
-        match mode {
-            InvocationMode::Local => {
-                encode_wire_into(sn, elem.0, false, chain, &[], &[], args, usr, buf);
-            }
-            InvocationMode::Injected => {
-                let tpl = self.template(elem)?;
-                crate::frame::validate_section_lens(&tpl.got, &tpl.code, args, usr)?;
-                encode_wire_into(sn, elem.0, true, chain, &tpl.got, &tpl.code, args, usr, buf);
-            }
-        }
-        Ok(())
-    }
-
     /// Common tail of every send path: capacity check, pack-cost model, one put
     /// (completion-tracked through `cq` when given). `pub(crate)` for the
-    /// fleet's aggregation path, which posts an already-encoded frame
-    /// standalone when it is too large to share a container.
+    /// fleet lanes, which post frames they encoded with
+    /// [`TwoChainsSender::encode_next`].
     pub(crate) fn put_frame(
         &mut self,
         now: SimTime,
@@ -321,25 +266,29 @@ impl TwoChainsSender {
     }
 
     /// Encode the next message for `spec` into `buf` without sending it:
-    /// validate, stamp the next sequence number, encode. This is the first
-    /// half of the aggregation path — the fleet accumulates several encoded
-    /// frames into one batch container and posts it with a single
-    /// [`TwoChainsSender::put_batch`]. Returns the stamped sequence number
-    /// (the container inherits its first frame's).
+    /// validate, stamp the next sequence number, encode. Every send encodes
+    /// here; the frame then goes out on its own
+    /// ([`TwoChainsSender::put_frame`]) or, from a fleet lane, inside a batch
+    /// container posted with a single [`TwoChainsSender::put_batch`]. Returns
+    /// the stamped sequence number (the container inherits its first
+    /// frame's).
     pub(crate) fn encode_next(&mut self, spec: &MessageSpec, buf: &mut Vec<u8>) -> AmResult<u32> {
         crate::frame::validate_section_lens(&[], &[], spec.args_bytes(), spec.usr_bytes())?;
         let chain = spec.chain_descriptor()?;
         self.sn = self.sn.wrapping_add(1);
         let sn = self.sn;
-        self.encode_message(
-            sn,
-            spec.elem(),
-            spec.invocation(),
-            chain.as_ref(),
-            spec.args_bytes(),
-            spec.usr_bytes(),
-            buf,
-        )?;
+        let (elem, args, usr) = (spec.elem(), spec.args_bytes(), spec.usr_bytes());
+        match spec.invocation() {
+            InvocationMode::Local => {
+                encode_wire_into(sn, elem.0, false, chain.as_ref(), &[], &[], args, usr, buf);
+            }
+            InvocationMode::Injected => {
+                let tpl = self.template(elem)?;
+                crate::frame::validate_section_lens(&tpl.got, &tpl.code, args, usr)?;
+                let (got, code) = (&tpl.got, &tpl.code);
+                encode_wire_into(sn, elem.0, true, chain.as_ref(), got, code, args, usr, buf);
+            }
+        }
         Ok(sn)
     }
 
@@ -411,15 +360,6 @@ impl TwoChainsSender {
     /// flow-control events here so a host-wide `merge()` sees them).
     pub(crate) fn stats_mut(&mut self) -> &mut RuntimeStats {
         &mut self.stats
-    }
-
-    /// The exact wire bytes of the most recent send: every send path encodes
-    /// into (and then restores) the reusable scratch buffer, so after a send
-    /// returns, the buffer *is* the frame as it went onto the fabric. The
-    /// fleet's reliability layer snapshots this into its per-slot wire cache
-    /// so a NACK or watchdog timeout can retransmit byte-identical frames.
-    pub(crate) fn last_wire(&self) -> &[u8] {
-        &self.encode_buf
     }
 
     /// Re-put previously sent wire bytes (reliability-layer retransmit). The

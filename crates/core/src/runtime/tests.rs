@@ -2018,6 +2018,184 @@ fn drive_pipeline_propagates_a_payload_panic_instead_of_hanging() {
     );
 }
 
+#[test]
+fn drive_pipeline_surfaces_a_lanes_root_cause_not_the_abort_notice() {
+    // Stream 1's round-1 message cannot fit a mailbox: its lane fails on the
+    // send, the abort flag releases drain 1 (its quota is now unreachable),
+    // and the pipeline must report the lane's own error, not the release.
+    for cfg in [
+        RuntimeConfig::paper_default(),
+        RuntimeConfig::paper_default().with_per_frame_aggregation(),
+    ] {
+        let policy = cfg.aggregation_policy;
+        let (mut host, mut fleet) =
+            fleet_testbed_with(cfg.with_shards(2).with_sender_streams(2), 64);
+        let oversized = host.config().frame_capacity + 1;
+        let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
+        let err = super::drive_pipeline(
+            &mut host,
+            &mut fleet,
+            elem,
+            InvocationMode::Injected,
+            2,
+            &|ctx| {
+                if ctx.stream == 1 && ctx.round == 1 {
+                    (vec![0; oversized], payload(4))
+                } else {
+                    fleet_payload(ctx)
+                }
+            },
+        )
+        .unwrap_err();
+        assert!(
+            matches!(err, AmError::FrameTooLarge { .. }),
+            "{policy:?}: {err}"
+        );
+    }
+}
+
+/// A message whose Indirect Put key depends on the mailbox only: once a
+/// prime has allocated every key, each round is a pure lookup, so results do
+/// not depend on the order the drains retire frames in.
+fn mailbox_keyed_payload(ctx: super::SlotCtx) -> (Vec<u8>, Vec<u8>) {
+    let key = ((ctx.bank * 16 + ctx.slot) % 48) as u64;
+    (
+        indirect_put_args(key, 4, 4),
+        payload(4 + (ctx.round % 3) as usize),
+    )
+}
+
+/// (bank, slot, result) of every drained frame.
+type Drained = Vec<(usize, usize, u64)>;
+
+/// One `fill_all` round followed by one burst per shard.
+fn fill_then_drain(
+    host: &mut TwoChainsHost,
+    fleet: &mut super::SenderFleet,
+    elem: ElementId,
+    round: u64,
+) -> Drained {
+    let horizons = fleet
+        .fill_all(
+            elem,
+            InvocationMode::Injected,
+            round,
+            &mailbox_keyed_payload,
+        )
+        .unwrap();
+    let mut drained = Vec::new();
+    for (shard, &start) in horizons.iter().enumerate() {
+        let out = host.receive_burst(shard, usize::MAX, start).unwrap();
+        assert!(out.rejected.is_empty());
+        drained.extend(
+            out.frames
+                .iter()
+                .map(|f| (f.bank, f.slot, f.outcome.result)),
+        );
+    }
+    fleet.harvest_completions();
+    drained
+}
+
+/// A 2-shard fleet testbed, primed with one sequential round (every key
+/// allocated, caches warm) and its counters zeroed.
+fn primed_fleet_testbed(cfg: RuntimeConfig) -> (TwoChainsHost, super::SenderFleet, ElementId) {
+    let (mut host, mut fleet) = fleet_testbed_with(cfg.with_shards(2).with_sender_streams(2), 64);
+    let elem = host.builtin_id(BuiltinJam::IndirectPut).unwrap();
+    fill_then_drain(&mut host, &mut fleet, elem, u64::MAX);
+    host.reset_stats();
+    fleet.reset_stats();
+    (host, fleet, elem)
+}
+
+/// `rounds` sequential rounds, the drained frames sorted.
+fn sequential_schedule(cfg: RuntimeConfig, rounds: usize) -> Drained {
+    let (mut host, mut fleet, elem) = primed_fleet_testbed(cfg);
+    let mut drained: Drained = (0..rounds as u64)
+        .flat_map(|round| fill_then_drain(&mut host, &mut fleet, elem, round))
+        .collect();
+    drained.sort_unstable();
+    drained
+}
+
+/// The pipeline's loops stepped round-robin on this thread until every one
+/// is done. Returns the drained frames and the host and fleet counters.
+fn stepped_pipeline(cfg: RuntimeConfig, rounds: usize) -> (Drained, String, String) {
+    use super::fleet::{DrainLoop, LaneLoop, Step};
+    let (mut host, mut fleet, elem) = primed_fleet_testbed(cfg);
+    let quotas: Vec<usize> = (0..fleet.lane_count())
+        .map(|s| rounds * fleet.lane(s).unwrap().slots())
+        .collect();
+    let mut lanes: Vec<_> = fleet
+        .lanes_mut()
+        .map(|(lane, cq)| {
+            let side = LaneLoop::start(
+                lane,
+                elem,
+                InvocationMode::Injected,
+                rounds,
+                &mailbox_keyed_payload,
+            )
+            .unwrap();
+            (side, lane, cq, false)
+        })
+        .collect();
+    let mut drains: Vec<_> = host
+        .shard_drains()
+        .into_iter()
+        .map(|drain| (DrainLoop::new(quotas[drain.shard_id()]), drain, false))
+        .collect();
+    let mut passes = 0;
+    while lanes.iter().any(|l| !l.3) || drains.iter().any(|d| !d.2) {
+        passes += 1;
+        assert!(
+            passes < 100_000,
+            "the stepped pipeline stopped making headway"
+        );
+        for (side, lane, cq, done) in &mut lanes {
+            if !*done {
+                *done = side.step(lane, cq).unwrap() == Step::Done;
+            }
+        }
+        for (side, drain, done) in &mut drains {
+            if !*done {
+                *done = side.step(drain).unwrap() == Step::Done;
+            }
+        }
+    }
+    drop(lanes);
+    let mut drained: Drained = Vec::new();
+    for (side, _, _) in drains {
+        let (frames, rejected) = side.finish();
+        assert_eq!(rejected, 0);
+        drained.extend(frames.iter().map(|f| (f.bank, f.slot, f.result)));
+    }
+    drained.sort_unstable();
+    (
+        drained,
+        format!("{:?}", host.stats()),
+        format!("{:?}", fleet.stats()),
+    )
+}
+
+#[test]
+fn stepped_pipeline_loops_match_the_sequential_schedule_deterministically() {
+    const ROUNDS: usize = 3;
+    for cfg in [
+        RuntimeConfig::paper_default(),
+        RuntimeConfig::paper_default().with_per_frame_aggregation(),
+    ] {
+        let policy = cfg.aggregation_policy;
+        let sequential = sequential_schedule(cfg.clone(), ROUNDS);
+        assert_eq!(sequential.len(), ROUNDS * cfg.total_mailboxes());
+        let (drained, host_stats, fleet_stats) = stepped_pipeline(cfg.clone(), ROUNDS);
+        assert_eq!(drained, sequential, "{policy:?}: results differ");
+        let again = stepped_pipeline(cfg, ROUNDS);
+        assert_eq!(host_stats, again.1, "{policy:?}: host counters differ");
+        assert_eq!(fleet_stats, again.2, "{policy:?}: fleet counters differ");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Receiver-side function chains: the MessageSpec construction path, the chain
 // executor's result threading, and the per-stage rejection semantics.
